@@ -25,7 +25,7 @@ from .tautools import (
     virasoro_rows,
     virk_rows,
 )
-from .toprec import Engine, InsufficientOrderError, build_curve, required_order
+from .toprec import FAMILIES, Engine, InsufficientOrderError, build_curve, required_order
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -45,10 +45,20 @@ def _emit(args, payload) -> None:
         print(text)
 
 
+class UsageError(Exception):
+    """Bad input found after argument parsing; main() prints it and exits 2."""
+
+
+def _open_cache(path: str) -> Cache:
+    try:
+        return Cache(path)
+    except (ValueError, OSError) as exc:
+        raise UsageError(f"cannot open cache: {exc}") from exc
+
+
 def _oracle(args) -> IntersectionOracle:
     path = args.cache or default_cache_path()
-    cache = Cache(path) if path else None
-    return IntersectionOracle(cache)
+    return IntersectionOracle(_open_cache(path) if path else None)
 
 
 def _save_cache(oracle: IntersectionOracle) -> None:
@@ -56,12 +66,20 @@ def _save_cache(oracle: IntersectionOracle) -> None:
         oracle.cache.save()
 
 
+def _bad_family(family: str, allowed) -> bool:
+    if family in allowed:
+        return False
+    print(f"--family must be one of {sorted(allowed)}", file=sys.stderr)
+    return True
+
+
 def cmd_kappa_polys(args) -> int:
-    fam = _FAMILY_POLYS.get(args.family)
-    if fam is None:
-        print(f"--family must be one of {sorted(_FAMILY_POLYS)}", file=sys.stderr)
+    if _bad_family(args.family, _FAMILY_POLYS):
         return USAGE_ERROR
-    polys = fam(args.m_max)
+    if args.m_max < 0:
+        print("--m-max must be non-negative", file=sys.stderr)
+        return USAGE_ERROR
+    polys = _FAMILY_POLYS[args.family](args.m_max)
     name = args.family.upper()
     if args.format == "json":
         _emit(args, {f"{name}{m}": polys[m].to_json() for m in range(args.m_max + 1)})
@@ -87,6 +105,8 @@ def _engine_for(family: str, g: int, n: int, n_h: int = 0) -> Engine:
 
 
 def cmd_correlators(args) -> int:
+    if _bad_family(args.family, FAMILIES):
+        return USAGE_ERROR
     g, n = args.g, args.n
     if n < 1 or 2 * g - 2 + n <= 0:
         print("need a stable (g, n) with n >= 1", file=sys.stderr)
@@ -105,7 +125,12 @@ def cmd_correlators(args) -> int:
 
 
 def cmd_potentials(args) -> int:
+    if _bad_family(args.family, FAMILIES):
+        return USAGE_ERROR
     budget = args.epsilon_budget
+    if budget < 0:
+        print("--epsilon-budget must be non-negative", file=sys.stderr)
+        return USAGE_ERROR
     t_max = args.t_max
     if args.family == "bgw":
         pot = bgw_bootstrap(budget)
@@ -313,6 +338,9 @@ def cmd_verify(args) -> int:
     except (BudgetError, InsufficientOrderError) as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if not report["rows"]:
+        print(f"nothing checked: suite {args.suite} produced no rows", file=sys.stderr)
+        return USAGE_ERROR
     report["status"] = "PASS" if ok else "FAIL"
     if args.format == "json":
         _emit(args, report)
@@ -363,11 +391,7 @@ def cmd_cache(args) -> int:
     if not path:
         print("no cache path: pass --cache or set KAPPAREC_CACHE", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        cache = Cache(path)
-    except (ValueError, OSError) as exc:
-        print(f"cannot open cache: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cache = _open_cache(path)
     if args.action == "stats":
         _emit(args, cache.stats())
         return 0
@@ -457,7 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

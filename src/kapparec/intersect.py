@@ -1,10 +1,16 @@
 """Independent computation of psi and kappa-psi intersection numbers.
 
-Pure psi numbers come from the Virasoro constraints specialized to the
-unshifted potential, solved as a recursion on the largest exponent.  Kappa
-insertions are reduced through the time-shift formalism: the class exp(sum
-s_i kappa_i) paired with psi^k expands into psi-only numbers with extra
-points,
+Pure psi numbers <tau_{d_1} ... tau_{d_n}>_g are reduced in two steps.  A
+key whose smallest exponent is 0 or 1 on a stable (g, n-1) goes through the
+string or the dilaton equation, which remove that point.  Every other key is
+solved by the DVV (Virasoro) recursion on its largest exponent; in its
+quadratic term the genus of each factor is fixed by the dimension
+constraint, so each split of the remaining points is evaluated once.  The
+base cases are <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.
+
+Kappa insertions are reduced through the time-shift formalism: the class
+exp(sum s_i kappa_i) paired with psi^k expands into psi-only numbers with
+extra points,
 
     I(h) = sum_{partitions b of W} (-1)^{len(b)} / prod(mult!)
            * prod h_{b_i} * < tau_k, tau_{b_1+1}, ..., tau_{b_m+1} >_g
@@ -22,6 +28,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .coeffs import s_from_h_formal
@@ -71,7 +78,10 @@ class Cache:
         if not isinstance(entries, dict):
             raise ValueError("corrupted cache file: no entries map")
         for k, v in entries.items():
-            rat_parse(v)  # validate
+            try:
+                rat_parse(v)
+            except (AttributeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"corrupted cache file: bad value {v!r} at {k}") from None
             self.data[k] = v
         self.path = path
 
@@ -140,13 +150,30 @@ class IntersectionOracle:
             if c is not None:
                 self._kw[key] = c
                 return c
-        val = self._kw_recurse(g, ds)
+        if ds[0] <= 1 and 2 * g - 3 + n > 0:
+            val = self._string_dilaton(g, ds)
+        else:
+            val = self._kw_recurse(g, ds)
         self._kw[key] = val
         if self.cache is not None:
             self.cache.put(g, ds, (), val)
         return val
 
+    def _string_dilaton(self, g: int, ds: tuple[int, ...]) -> Fraction:
+        """Remove the tau_0 (string) or tau_1 (dilaton) point ds[0]; (g, n-1) is stable."""
+        rest = ds[1:]
+        if ds[0] == 1:
+            return (2 * g - 2 + len(rest)) * self.kw_number(g, rest)
+        total = Zero
+        for v, m in multiplicities(rest).items():
+            if v:
+                lowered = list(rest)
+                lowered[lowered.index(v)] = v - 1
+                total += m * self.kw_number(g, lowered)
+        return total
+
     def _kw_recurse(self, g: int, ds: tuple[int, ...]) -> Fraction:
+        """DVV recursion on the largest exponent ds[-1] of the sorted key."""
         k1 = ds[-1]
         mu = ds[:-1]
         rhs = Zero
@@ -168,16 +195,14 @@ class IntersectionOracle:
             b = k1 - 2 - a
             coeff = Fraction(odd_df(a) * odd_df(b), 2)
             rhs += coeff * self.kw_number(g - 1, (a, b, *mu))
-            for g1 in range(0, g + 1):
-                g2 = g - g1
-                for alpha, beta, ways in _multiset_splits(mu):
-                    v1 = self.kw_number(g1, (a, *alpha))
-                    if not v1:
-                        continue
-                    v2 = self.kw_number(g2, (b, *beta))
-                    if not v2:
-                        continue
-                    rhs += coeff * ways * v1 * v2
+            for alpha, beta, ways in _multiset_splits(mu):
+                # <tau_a alpha>_{g1} is off dimension unless this divides exactly
+                g1, r = divmod(a + sum(alpha) + 2 - len(alpha), 3)
+                if r or g1 < 0 or g1 > g:
+                    continue
+                v1 = self.kw_number(g1, (a, *alpha))
+                if v1:
+                    rhs += coeff * ways * v1 * self.kw_number(g - g1, (b, *beta))
         # constraint constants
         if g == 0 and k1 == 0 and mu == (0, 0):
             rhs += 1
@@ -326,6 +351,7 @@ def _trim(h: list[int]) -> list[int]:
     return h
 
 
+@lru_cache(maxsize=None)
 def _multiset_splits(mu: tuple[int, ...]):
     """Ordered splits (alpha, beta) of the multiset mu with binomial weights."""
     items = sorted(multiplicities(mu).items())
@@ -338,7 +364,7 @@ def _multiset_splits(mu: tuple[int, ...]):
                     (alpha + (v,) * take, beta + (v,) * (m - take), ways * binomial(m, take))
                 )
         out = nxt
-    return out
+    return tuple(out)
 
 
 def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

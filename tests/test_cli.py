@@ -126,3 +126,34 @@ def test_env_var_cache(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, ["hurwitz", "--g", "1", "--partition", "1,1"])
     assert code == 0
     assert cpath.exists()
+
+
+def test_bad_cache_value_is_usage_error(capsys, tmp_path):
+    for value in ("1/0", "x"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"0;0,0,0;": value}}))
+        for args in (
+            ["cache", "--action", "stats"],
+            ["verify", "--suite", "kdv", "--epsilon-budget", "1"],
+            ["hurwitz", "--g", "1", "--partition", "2"],
+        ):
+            code, out, err = run(capsys, args + ["--cache", str(bad)])
+            assert code == 2 and out == "", (value, args)
+            assert "cannot open cache" in err and "0;0,0,0;" in err, (value, args)
+
+
+def test_bad_arguments_are_usage_errors(capsys):
+    for args, msg in (
+        (["correlators", "--family", "nope", "--g", "1", "--n", "1"], "--family"),
+        (["potentials", "--family", "nope"], "--family"),
+        (["kappa-polys", "--m-max", "-1"], "--m-max"),
+        (["potentials", "--epsilon-budget", "-2"], "--epsilon-budget"),
+    ):
+        code, out, err = run(capsys, args)
+        assert code == 2 and out == "" and msg in err, args
+
+
+def test_verify_nothing_checked(capsys):
+    for suite, budget in (("regularity", "0"), ("hurwitz", "0"), ("conjecture", "-3")):
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--epsilon-budget", budget])
+        assert code == 2 and "PASS" not in out and "nothing checked" in err, suite

@@ -33,6 +33,9 @@ def test_kw_off_dimension_and_unstable():
 
 
 def test_string_and_dilaton_random(oracle):
+    # kw_number takes the string/dilaton shortcut on an appended 0 or 1;
+    # _kw_recurse solves the same key by DVV on its largest exponent.
+    # On-dimension psi numbers are positive, so no comparison is 0 == 0.
     rng = random.Random(71)
     for _ in range(60):
         g = rng.randint(0, 3)
@@ -40,17 +43,33 @@ def test_string_and_dilaton_random(oracle):
         dim = 3 * g - 3 + n
         if dim < 0 or 2 * g - 2 + n <= 0:
             continue
-        ds = [0] * n
-        for _ in range(dim):
-            ds[rng.randrange(n)] += 1
-        base = oracle.kw_number(g, ds)
-        string = sum(
-            oracle.kw_number(g, ds[:j] + [ds[j] - 1] + ds[j + 1 :])
-            for j in range(n)
-            if ds[j] > 0
-        )
-        assert oracle.kw_number(g, ds + [0]) == string
-        assert oracle.kw_number(g, ds + [1]) == (2 * g - 2 + n) * base
+        for extra in (0, 1):
+            ds = [0] * n
+            for _ in range(dim + 1 - extra):
+                ds[rng.randrange(n)] += 1
+            key = ds + [extra]
+            got = oracle.kw_number(g, key)
+            assert got > 0 and got == oracle._kw_recurse(g, tuple(sorted(key))), (g, key)
+
+
+def test_genus_zero_closed_form(oracle):
+    from math import factorial, prod
+
+    from kapparec.toprec import _sorted_tuples
+
+    for n in range(3, 9):
+        for ds in _sorted_tuples(n, n - 3):
+            if sum(ds) == n - 3:
+                want = F(factorial(n - 3), prod(factorial(d) for d in ds))
+                assert oracle.kw_number(0, ds) == want, ds
+
+
+def test_one_point_ladder_closed_form():
+    from math import factorial
+
+    o = IntersectionOracle()
+    for g in range(1, 13):
+        assert o.kw_number(g, (3 * g - 2,)) == F(1, 24**g * factorial(g))
 
 
 def test_kappa_psi_basics(oracle):
