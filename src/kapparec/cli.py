@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .epsilonlab import check_regularity, verify_vanishing
 from .hurwitz import BudgetError, hurwitz_three_ways
-from .intersect import Cache, IntersectionOracle, default_cache_path
+from .intersect import Cache, IntersectionOracle, default_cache_path, parse_key
 from .kappapoly import j_polys, k_polys, p_polys, partitions
-from .rationals import rat_str
+from .rationals import rat_parse, rat_str
 from .tautools import (
     Potential,
     bgw_bootstrap,
@@ -160,8 +160,25 @@ def cmd_potentials(args) -> int:
     return 0
 
 
+def _budget(args, report: dict, offset: int = 0, cap: int | None = None) -> int:
+    """The suite's effective budget: the request plus offset, at most cap.
+
+    It is stored in the report; a clamped request is noted on stderr, so the
+    pretty report on stdout stays the same.
+    """
+    want = args.epsilon_budget + offset
+    budget = want if cap is None else min(want, cap)
+    report["effective_budget"] = budget
+    if budget < want and args.format == "pretty":
+        print(
+            f"note: suite {args.suite} uses budget {budget} (requested {args.epsilon_budget})",
+            file=sys.stderr,
+        )
+    return budget
+
+
 def _suite_regularity(args, report: dict) -> bool:
-    budget = args.epsilon_budget
+    budget = _budget(args, report)
     ok = True
     rows = []
     fams = [args.family] if args.family else ["k", "j", "weak-k", "weak-j"]
@@ -190,7 +207,7 @@ def _suite_conjecture(args, report: dict) -> bool:
     oracle = _oracle(args)
     ok = True
     rows = []
-    dim_max = min(args.epsilon_budget + 2, 7)
+    dim_max = _budget(args, report, 2, 7)
     for g in range(0, 4):
         for n in range(0, dim_max + 4):
             dim = 3 * g - 3 + n
@@ -216,7 +233,7 @@ def _suite_virasoro(args, report: dict) -> bool:
     oracle = _oracle(args)
     rows = []
     ok = True
-    budget = min(args.epsilon_budget + 1, 6)
+    budget = _budget(args, report, 1, 6)
     fkw = Potential.kw_from_oracle(oracle, budget + 2)
     for m in range(-1, 4):
         n, bad = virasoro_rows(fkw, m, htilde_unshifted())
@@ -242,7 +259,7 @@ def _suite_kdv(args, report: dict) -> bool:
     oracle = _oracle(args)
     rows = []
     ok = True
-    budget = min(args.epsilon_budget + 3, 8)
+    budget = _budget(args, report, 3, 8)
     for label, pot in (
         ("KW", Potential.kw_from_oracle(oracle, budget)),
         ("BGW", bgw_bootstrap(budget)),
@@ -257,7 +274,7 @@ def _suite_kdv(args, report: dict) -> bool:
 
 def _suite_bgw(args, report: dict) -> bool:
     rows = []
-    budget = min(args.epsilon_budget, 5)
+    budget = _budget(args, report, 0, 5)
     # the displayed log Z goldens reach hbar^2, i.e. level 6; the bootstrap is cheap
     fb = bgw_bootstrap(max(budget, 6))
     engb = Engine(build_curve("bgw", required_order((budget + 1) // 2, 2)))
@@ -298,7 +315,7 @@ def _suite_hurwitz(args, report: dict) -> bool:
     oracle = _oracle(args)
     rows = []
     ok = True
-    d_max = min(args.epsilon_budget, 4)
+    d_max = _budget(args, report, 0, 4)
     g_max = 2
     eng = Engine(build_curve("kstar", required_order(g_max, d_max)))
     for d in range(1, d_max + 1):
@@ -419,8 +436,31 @@ def cmd_cache(args) -> int:
         cache.save(path)
         print(f"imported {len(incoming.data)} entries into {path}")
         return 0
-    print("--action must be stats, export, or import", file=sys.stderr)
+    if args.action == "verify":
+        return _verify_cache(args, cache)
+    print("--action must be stats, export, import, or verify", file=sys.stderr)
     return USAGE_ERROR
+
+
+def _verify_cache(args, cache: Cache) -> int:
+    """Recompute every entry with a cacheless oracle; exit 2 naming each mismatch."""
+    oracle = IntersectionOracle()
+    bad = {}
+    for key, stored in sorted(cache.data.items()):
+        try:
+            g, psis, lam = parse_key(key)
+            got = oracle.kappa_psi_number(g, len(psis), psis, lam)
+        except ValueError as exc:
+            bad[key] = f"stored {stored}, cannot recompute: {exc}"
+            continue
+        if got != rat_parse(stored):
+            bad[key] = f"stored {stored}, recomputed {rat_str(got)}"
+    if args.format == "json":
+        _emit(args, {"entries": len(cache.data), "bad": bad})
+    else:
+        lines = [f"bad entry {k}: {v}" for k, v in bad.items()]
+        _emit(args, "\n".join(lines + [f"verified {len(cache.data)} entries, {len(bad)} bad"]))
+    return USAGE_ERROR if bad else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_hurwitz)
 
     sp = sub.add_parser("cache", help="cache maintenance")
-    sp.add_argument("--action", required=True, help="stats|export|import")
+    sp.add_argument("--action", required=True, help="stats|export|import|verify")
     sp.add_argument("--in", dest="infile", default=None)
     common(sp)
     sp.set_defaults(func=cmd_cache)

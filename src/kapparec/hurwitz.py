@@ -3,9 +3,10 @@
 A monotone factorization of length m in S(d) is a tuple of transpositions
 (a_1,b_1)...(a_m,b_m), a_i < b_i, with b_1 <= ... <= b_m, whose product has a
 prescribed cycle type and whose entries generate a transitive subgroup; m is
-tied to the genus by m = 2g - 2 + n + d.  The reported number is the raw
-count times prod(mult_j!) over d!, the normalization under which all three
-routes agree.
+tied to the genus by m = 2g - 2 + n + d.  The brute-force route counts them
+directly in S(d), by a dynamic program over the states (last b, product
+permutation, components).  The reported number is the raw count times
+prod(mult_j!) over d!, the normalization under which all three routes agree.
 
 The other two routes go through the curve y = z/(1-z^2):  re-expanding its
 correlators at z = 1 in the coordinate X with z = -sqrt(1-4X), and the
@@ -15,6 +16,7 @@ ELSV-type pairing against exp(sum (-1)^i s_i kappa_i) with Phi-factors.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .intersect import IntersectionOracle
@@ -42,14 +44,18 @@ def brute_force(
     d_max: int = DEFAULT_D_MAX,
     m_max: int = DEFAULT_M_MAX,
 ) -> Fraction:
-    """Count monotone transitive factorizations directly.
+    """Count monotone transitive factorizations directly in S(d).
 
-    Depth-first search over nondecreasing-b chains with incremental product
-    tracking and union-find pruning on the number of connected components.
-    The raw count of tuples whose product has the target cycle type is
-    normalized by prod(mult_j!) / d!; the automorphism factor is forced by
-    matching the two generating-function routes on repeated-part partitions
-    (any repetition-free key, e.g. (2) at genus 1, fixes only the 1/d!).
+    A dynamic program over the states (smallest allowed next b, product
+    permutation, component labels): each step extends every state by each
+    transposition (a, b) with b >= the state's bound and a < b, merging the
+    components of a and b, and adds the number of prefixes reaching a state.
+    A state is dropped once its components cannot be joined in the steps left.
+    The raw count of transitive tuples whose product has the target cycle
+    type is normalized by prod(mult_j!) / d!; the automorphism factor is
+    forced by matching the two generating-function routes on repeated-part
+    partitions (any repetition-free key, e.g. (2) at genus 1, fixes only the
+    1/d!).
     """
     partition = tuple(sorted(partition, reverse=True))
     d = sum(partition)
@@ -64,65 +70,55 @@ def brute_force(
         )
     aut = 1
     for _, mm in multiplicities(partition).items():
-        aut *= _factorial(mm)
+        aut *= factorial(mm)
     if d == 1:
         return Fraction(1 if m == 0 else 0)
     if m == 0:
-        return Fraction(aut if partition == (1,) * d else 0, _factorial(d))
+        return Fraction(aut if partition == (1,) * d else 0, factorial(d))
 
-    target = partition
-    count = 0
-
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-        seen = [False] * d
-        cycles = []
-        for s in range(d):
-            if seen[s]:
-                continue
-            length = 0
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = perm[x]
-                length += 1
-            cycles.append(length)
-        return tuple(sorted(cycles, reverse=True))
-
-    def dfs(step: int, min_b: int, perm: tuple[int, ...], parent: list[int], comps: int):
-        nonlocal count
-        if comps - 1 > m - step:
-            return  # cannot become transitive in the remaining steps
-        if step == m:
-            if comps == 1 and cycle_type(perm) == target:
-                count += 1
-            return
-        for b in range(min_b, d):
-            for a in range(0, b):
-                new = list(perm)
-                new[a], new[b] = new[b], new[a]
-                p2 = parent[:]
-                ra, rb = find(p2, a), find(p2, b)
-                c2 = comps
-                if ra != rb:
-                    p2[ra] = rb
-                    c2 -= 1
-                dfs(step + 1, b, tuple(new), p2, c2)
-
-    dfs(0, 1, tuple(range(d)), list(range(d)), d)
-    return Fraction(count * aut, _factorial(d))
+    # a component is labelled by its smallest point, so one component reads (0,) * d
+    states = {(1, tuple(range(d)), tuple(range(d))): 1}
+    for step in range(m):
+        left = m - step - 1
+        nxt: dict[tuple, int] = {}
+        for (min_b, perm, labels), count in states.items():
+            comps = len(set(labels))
+            for b in range(min_b, d):
+                for a in range(b):
+                    lo, hi = sorted((labels[a], labels[b]))
+                    if comps - (lo != hi) - 1 > left:
+                        continue  # cannot become transitive in the remaining steps
+                    merged = labels
+                    if lo != hi:
+                        merged = tuple(lo if lab == hi else lab for lab in labels)
+                    new = list(perm)
+                    new[a], new[b] = new[b], new[a]
+                    key = (b, tuple(new), merged)
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    connected = (0,) * d
+    count = sum(
+        c
+        for (_, perm, labels), c in states.items()
+        if labels == connected and _cycle_type(perm) == partition
+    )
+    return Fraction(count * aut, factorial(d))
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(perm)
+    cycles = []
+    for s in range(len(perm)):
+        if seen[s]:
+            continue
+        length = 0
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        cycles.append(length)
+    return tuple(sorted(cycles, reverse=True))
 
 
 # -- ELSV-type route ---------------------------------------------------------------

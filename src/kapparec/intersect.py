@@ -53,6 +53,20 @@ def _key_str(g: int, psis: Sequence[int], lam: Sequence[int]) -> str:
     return f"{g};{','.join(map(str, psis))};{','.join(map(str, lam))}"
 
 
+def parse_key(key: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Inverse of :func:`_key_str`; raises ValueError on a malformed key."""
+    parts = key.split(";")
+    if len(parts) != 3:
+        raise ValueError(f"malformed cache key {key!r}")
+    try:
+        g, psis, lam = (tuple(int(x) for x in p.split(",")) if p else () for p in parts)
+    except ValueError:
+        raise ValueError(f"malformed cache key {key!r}") from None
+    if len(g) != 1 or min(g + psis) < 0 or any(x < 1 for x in lam):
+        raise ValueError(f"malformed cache key {key!r}")
+    return g[0], psis, lam
+
+
 class Cache:
     """Versioned persistent store for intersection numbers.
 

@@ -157,3 +157,32 @@ def test_verify_nothing_checked(capsys):
     for suite, budget in (("regularity", "0"), ("hurwitz", "0"), ("conjecture", "-3")):
         code, out, err = run(capsys, ["verify", "--suite", suite, "--epsilon-budget", budget])
         assert code == 2 and "PASS" not in out and "nothing checked" in err, suite
+
+
+def test_cache_verify_names_a_wrong_value(capsys, tmp_path):
+    cpath = tmp_path / "cache.json"
+    code, _, _ = run(capsys, ["verify", "--suite", "kdv", "--epsilon-budget", "1", "--cache", str(cpath)])
+    assert code == 0
+    code, out, _ = run(capsys, ["cache", "--action", "verify", "--cache", str(cpath)])
+    assert code == 0 and out.endswith(" 0 bad\n")
+    blob = json.loads(cpath.read_text())
+    assert blob["entries"]["0;0,0,0;"] == "1"
+    blob["entries"]["0;0,0,0;"] = "7"
+    cpath.write_text(json.dumps(blob))
+    code, out, _ = run(capsys, ["cache", "--action", "verify", "--cache", str(cpath)])
+    assert code == 2
+    assert "bad entry 0;0,0,0;: stored 7, recomputed 1" in out and out.endswith(" 1 bad\n")
+    code, out, _ = run(capsys, ["cache", "--action", "verify", "--cache", str(cpath), "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["bad"] == {"0;0,0,0;": "stored 7, recomputed 1"}
+    code, _, err = run(capsys, ["cache", "--action", "nope", "--cache", str(cpath)])
+    assert code == 2 and "verify" in err
+
+
+def test_verify_reports_effective_budget(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "kdv", "--epsilon-budget", "20"])
+    assert code == 0 and "note: suite kdv uses budget 8 (requested 20)" in err
+    code, default_out, err = run(capsys, ["verify", "--suite", "kdv"])
+    assert code == 0 and out == default_out and "note" not in err
+    code, out, err = run(capsys, ["verify", "--suite", "kdv", "--epsilon-budget", "20", "--format", "json"])
+    assert code == 0 and json.loads(out)["effective_budget"] == 8 and err == ""

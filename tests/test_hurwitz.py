@@ -35,6 +35,11 @@ def test_brute_force_budget():
     assert brute_force(2, (4, 1), m_max=9) == elsv_value_ref((2, (4, 1)))
 
 
+def test_brute_force_beyond_default_degree():
+    assert brute_force(1, (7,), d_max=7) == 1716 == elsv_value_ref((1, (7,)))
+    assert brute_force(0, (3, 2, 2), d_max=7) == 720 == elsv_value_ref((0, (3, 2, 2)))
+
+
 def elsv_value_ref(key):
     from kapparec.intersect import IntersectionOracle
 
@@ -83,7 +88,17 @@ def test_monotone_pruning_soundness():
                 total += 1
         return total
 
-    for g, part in ((0, (3,)), (1, (2,)), (0, (2, 1)), (0, (1, 1, 1)), (1, (1, 1))):
+    keys = (
+        (0, (3,)),
+        (1, (2,)),
+        (0, (2, 1)),
+        (0, (1, 1, 1)),
+        (1, (1, 1)),
+        (0, (4,)),
+        (0, (3, 1)),
+        (0, (2, 2)),
+    )
+    for g, part in keys:
         d = sum(part)
         m = transposition_count(g, part)
         aut = 1
