@@ -57,25 +57,56 @@ def _open_cache(path: str) -> Cache:
 
 
 def _oracle(args) -> IntersectionOracle:
+    """The oracle on the --cache file; kept on args for the caller to save."""
     path = args.cache or default_cache_path()
-    return IntersectionOracle(_open_cache(path) if path else None)
+    args.oracle = IntersectionOracle(_open_cache(path) if path else None)
+    return args.oracle
 
 
-def _save_cache(oracle: IntersectionOracle) -> None:
-    if oracle.cache is not None and oracle.cache.path and oracle.cache.dirty:
-        oracle.cache.save()
+def _save_cache(oracle: IntersectionOracle | None) -> None:
+    cache = oracle and oracle.cache
+    if cache is not None and cache.path and cache.dirty:
+        cache.save()
 
 
-def _bad_family(family: str, allowed) -> bool:
-    if family in allowed:
+def _blame_cache(oracle: IntersectionOracle | None) -> bool:
+    """After a failed check: name on stderr each entry of the cache file the
+    oracle read that a cacheless oracle does not reproduce; True if any."""
+    cache = oracle and oracle.cache
+    if cache is None:
         return False
-    print(f"--family must be one of {sorted(allowed)}", file=sys.stderr)
-    return True
+    bad = _bad_entries(_open_cache(cache.path))
+    for key, what in bad.items():
+        print(f"bad cache entry {key}: {what}", file=sys.stderr)
+    return bool(bad)
+
+
+def _check_family(family: str, allowed) -> None:
+    if family not in allowed:
+        raise UsageError(f"--family must be one of {sorted(allowed)}")
+
+
+def _top(budget: int) -> tuple[int, int]:
+    """The deepest (g, n) of a level budget: the top level at its largest genus."""
+    g = (budget + 1) // 2
+    return g, budget + 2 - 2 * g
+
+
+def _engine(family: str, g: int, n: int) -> Engine:
+    """An engine deep enough for every correlator up to (g, n).
+
+    The two-parameter families carry formal h_1..h_{3g-3+n} and drop
+    monomials of higher h-weight.  The unstable (g, n) a budget below level 1
+    gives is never asked for a correlator, so its curve order is only kept
+    buildable.
+    """
+    cap = 3 * g - 3 + n if family.startswith("weak") else None
+    curve = build_curve(family, max(required_order(g, n), 2), n_h=cap or 0, h_weight_cap=cap)
+    return Engine(curve)
 
 
 def cmd_kappa_polys(args) -> int:
-    if _bad_family(args.family, _FAMILY_POLYS):
-        return USAGE_ERROR
+    _check_family(args.family, _FAMILY_POLYS)
     if args.m_max < 0:
         print("--m-max must be non-negative", file=sys.stderr)
         return USAGE_ERROR
@@ -89,24 +120,8 @@ def cmd_kappa_polys(args) -> int:
     return 0
 
 
-def _weak_params(budget: int) -> int:
-    """Largest 3g-3+n over the level budget: formal-h count and weight cap."""
-    return max(
-        3 * g - 3 + n
-        for g in range(0, budget // 2 + 2)
-        for n in (budget + 2 - 2 * g,)
-        if n >= 1
-    )
-
-
-def _engine_for(family: str, g: int, n: int, n_h: int = 0) -> Engine:
-    cap = 3 * g - 3 + n if family.startswith("weak") else None
-    return Engine(build_curve(family, required_order(g, n), n_h=n_h, h_weight_cap=cap))
-
-
 def cmd_correlators(args) -> int:
-    if _bad_family(args.family, FAMILIES):
-        return USAGE_ERROR
+    _check_family(args.family, FAMILIES)
     g, n = args.g, args.n
     if n < 1 or 2 * g - 2 + n <= 0:
         print("need a stable (g, n) with n >= 1", file=sys.stderr)
@@ -117,16 +132,12 @@ def cmd_correlators(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    n_h = 3 * g - 3 + n if args.family.startswith("weak") else 0
-    eng = _engine_for(args.family, g, n, n_h=n_h)
-    corr = eng.correlator(g, n)
-    _emit(args, corr.to_json())
+    _emit(args, _engine(args.family, g, n).correlator(g, n).to_json())
     return 0
 
 
 def cmd_potentials(args) -> int:
-    if _bad_family(args.family, FAMILIES):
-        return USAGE_ERROR
+    _check_family(args.family, FAMILIES)
     budget = args.epsilon_budget
     if budget < 0:
         print("--epsilon-budget must be non-negative", file=sys.stderr)
@@ -135,17 +146,7 @@ def cmd_potentials(args) -> int:
     if args.family == "bgw":
         pot = bgw_bootstrap(budget)
     else:
-        gtop = (budget + 1) // 2
-        n_h = _weak_params(budget) if args.family.startswith("weak") else 0
-        eng = Engine(
-            build_curve(
-                args.family,
-                required_order(gtop, budget + 2 - 2 * gtop),
-                n_h=n_h,
-                h_weight_cap=(n_h or None),
-            )
-        )
-        pot = Potential.from_engine(eng, budget, args.family)
+        pot = Potential.from_engine(_engine(args.family, *_top(budget)), budget, args.family)
     payload = {
         "family": args.family,
         "budget": budget,
@@ -178,22 +179,13 @@ def _budget(args, report: dict, offset: int = 0, cap: int | None = None) -> int:
 
 
 def _suite_regularity(args, report: dict) -> bool:
+    if args.family:
+        _check_family(args.family, FAMILIES)
     budget = _budget(args, report)
     ok = True
     rows = []
-    fams = [args.family] if args.family else ["k", "j", "weak-k", "weak-j"]
-    for fam in fams:
-        gtop = (budget + 1) // 2
-        n_h = _weak_params(budget) if fam.startswith("weak") else 0
-        eng = Engine(
-            build_curve(
-                fam,
-                required_order(gtop, budget + 2 - 2 * gtop),
-                n_h=n_h,
-                h_weight_cap=(n_h or None),
-            )
-        )
-        for rep in check_regularity(eng, budget):
+    for fam in [args.family] if args.family else ["k", "j", "weak-k", "weak-j"]:
+        for rep in check_regularity(_engine(fam, *_top(budget)), budget):
             rows.append(rep.row())
             if not rep.passed:
                 ok = False
@@ -224,7 +216,6 @@ def _suite_conjecture(args, report: dict) -> bool:
                     good = verify_vanishing(oracle, g, n, m, style)
                     rows.append(f"{style.upper()}_{m} on (g,n)=({g},{n}): {'PASS' if good else 'FAIL'}")
                     ok = ok and good
-    _save_cache(oracle)
     report["rows"] = rows
     return ok
 
@@ -233,25 +224,28 @@ def _suite_virasoro(args, report: dict) -> bool:
     oracle = _oracle(args)
     rows = []
     ok = True
+    checked = 0
     budget = _budget(args, report, 1, 6)
     fkw = Potential.kw_from_oracle(oracle, budget + 2)
     for m in range(-1, 4):
         n, bad = virasoro_rows(fkw, m, htilde_unshifted())
         rows.append(f"KW m={m}: rows={n} nonzero={len(bad)}")
         ok = ok and not bad
+        checked += n
     fb = bgw_bootstrap(budget + 2)
     for m in range(0, 4):
         n, bad = virk_rows(fb, m, with_eps=False)
         rows.append(f"BGW m={m}: rows={n} nonzero={len(bad)}")
         ok = ok and not bad
-    engk = Engine(build_curve("k", required_order((budget + 1) // 2, 2)))
-    fk = Potential.from_engine(engk, budget, "k")
+        checked += n
+    fk = Potential.from_engine(_engine("k", *_top(budget)), budget, "k")
     for m in range(0, 4):
         n, bad = virk_rows(fk, m, with_eps=True)
         rows.append(f"K(eps) m={m}: rows={n} nonzero={len(bad)}")
         ok = ok and not bad
-    _save_cache(oracle)
-    report["rows"] = rows
+        checked += n
+    # a budget whose rows all evaluate nothing checked nothing
+    report["rows"] = rows if checked else []
     return ok
 
 
@@ -259,6 +253,7 @@ def _suite_kdv(args, report: dict) -> bool:
     oracle = _oracle(args)
     rows = []
     ok = True
+    checked = 0
     budget = _budget(args, report, 3, 8)
     for label, pot in (
         ("KW", Potential.kw_from_oracle(oracle, budget)),
@@ -267,8 +262,8 @@ def _suite_kdv(args, report: dict) -> bool:
         n, bad = kdv_residual(pot)
         rows.append(f"{label}: rows={n} nonzero={len(bad)}")
         ok = ok and not bad
-    _save_cache(oracle)
-    report["rows"] = rows
+        checked += n
+    report["rows"] = rows if checked else []
     return ok
 
 
@@ -277,10 +272,8 @@ def _suite_bgw(args, report: dict) -> bool:
     budget = _budget(args, report, 0, 5)
     # the displayed log Z goldens reach hbar^2, i.e. level 6; the bootstrap is cheap
     fb = bgw_bootstrap(max(budget, 6))
-    engb = Engine(build_curve("bgw", required_order((budget + 1) // 2, 2)))
-    direct = Potential.from_engine(engb, budget, "bgw")
-    engk = Engine(build_curve("k", required_order((budget + 1) // 2, 2)))
-    fk = Potential.from_engine(engk, budget, "k")
+    direct = Potential.from_engine(_engine("bgw", *_top(budget)), budget, "bgw")
+    fk = Potential.from_engine(_engine("k", *_top(budget)), budget, "k")
     ok = True
     for (g, mono), c in direct.items():
         if fb.coeff(g, mono) != c:
@@ -317,7 +310,7 @@ def _suite_hurwitz(args, report: dict) -> bool:
     ok = True
     d_max = _budget(args, report, 0, 4)
     g_max = 2
-    eng = Engine(build_curve("kstar", required_order(g_max, d_max)))
+    eng = _engine("kstar", g_max, d_max)
     for d in range(1, d_max + 1):
         for part in partitions(d):
             for g in range(0, g_max + 1):
@@ -329,7 +322,6 @@ def _suite_hurwitz(args, report: dict) -> bool:
                 ok = ok and good
                 routes = {k: (rat_str(v) if v is not None else "skipped") for k, v in r.items()}
                 rows.append(f"g={g} mu={part}: {routes} {'PASS' if good else 'FAIL'}")
-    _save_cache(oracle)
     report["rows"] = rows
     return ok
 
@@ -350,11 +342,15 @@ def cmd_verify(args) -> int:
         print(f"--suite must be one of {sorted(_SUITES)}", file=sys.stderr)
         return USAGE_ERROR
     report: dict = {"suite": args.suite}
+    args.oracle = None
     try:
         ok = suite(args, report)
     except (BudgetError, InsufficientOrderError) as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if not ok and _blame_cache(args.oracle):
+        return USAGE_ERROR
+    _save_cache(args.oracle)
     if not report["rows"]:
         print(f"nothing checked: suite {args.suite} produced no rows", file=sys.stderr)
         return USAGE_ERROR
@@ -381,13 +377,14 @@ def cmd_hurwitz(args) -> int:
         return USAGE_ERROR
     oracle = _oracle(args)
     try:
-        eng = Engine(build_curve("kstar", required_order(g, len(part))))
-        r = hurwitz_three_ways(oracle, eng, g, part)
+        r = hurwitz_three_ways(oracle, _engine("kstar", g, len(part)), g, part)
     except BudgetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _save_cache(oracle)
     vals = {v for v in r.values() if v is not None}
+    if len(vals) != 1 and _blame_cache(oracle):
+        return USAGE_ERROR
+    _save_cache(oracle)
     payload = {
         "g": g,
         "partition": list(part),
@@ -442,8 +439,8 @@ def cmd_cache(args) -> int:
     return USAGE_ERROR
 
 
-def _verify_cache(args, cache: Cache) -> int:
-    """Recompute every entry with a cacheless oracle; exit 2 naming each mismatch."""
+def _bad_entries(cache: Cache) -> dict[str, str]:
+    """Recompute every entry with a cacheless oracle; key -> what is wrong."""
     oracle = IntersectionOracle()
     bad = {}
     for key, stored in sorted(cache.data.items()):
@@ -455,6 +452,12 @@ def _verify_cache(args, cache: Cache) -> int:
             continue
         if got != rat_parse(stored):
             bad[key] = f"stored {stored}, recomputed {rat_str(got)}"
+    return bad
+
+
+def _verify_cache(args, cache: Cache) -> int:
+    """Exit 2 naming each entry a cacheless oracle does not reproduce."""
+    bad = _bad_entries(cache)
     if args.format == "json":
         _emit(args, {"entries": len(cache.data), "bad": bad})
     else:

@@ -20,7 +20,7 @@ from .kappapoly import (
     partitions,
 )
 from .parampoly import ParamPoly
-from .toprec import Engine, _sorted_tuples, correlators_to_potential
+from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
 
 
 @dataclass
@@ -36,17 +36,6 @@ class RegularityReport:
         v = "-" if self.min_eps_valuation is None else str(self.min_eps_valuation)
         status = "PASS" if self.passed else "FAIL"
         return f"{self.family:8s} g={self.g} n={self.n} entries={self.entries:4d} min_eps_val={v:>3s} {status}"
-
-
-def levels(budget: int):
-    """Stable (g, n) with n >= 1 and 2g-2+n <= budget, by increasing level."""
-    out = []
-    for lvl in range(1, budget + 1):
-        for g in range(0, lvl // 2 + 2):
-            n = lvl + 2 - 2 * g
-            if n >= 1 and 2 * g - 2 + n == lvl:
-                out.append((g, n))
-    return out
 
 
 def check_regularity(engine: Engine, budget: int) -> list[RegularityReport]:

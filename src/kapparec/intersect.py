@@ -37,11 +37,12 @@ from .kappapoly import (
     MixedPoly,
     Partition,
     multiplicities,
+    multiset_splits,
     partition_weight,
     partitions,
 )
-from .parampoly import ParamPoly
-from .rationals import binomial, fact, odd_df, rat_parse, rat_str
+from .parampoly import ParamPoly, _trim
+from .rationals import fact, odd_df, rat_parse, rat_str
 
 CACHE_VERSION = "kapparec-cache-v1"
 CACHE_ENV = "KAPPAREC_CACHE"
@@ -316,7 +317,7 @@ class IntersectionOracle:
             hexp = [0] * w
             for v, e in mm.items():
                 hexp[v - 1] = e
-            hkey[(0, tuple(_trim(hexp)))] = i
+            hkey[(0, _trim(tuple(hexp)))] = i
         for kterm, c in ih.terms.items():
             if kterm not in hkey:
                 raise AssertionError(f"unexpected monomial in shift expansion: {kterm}")
@@ -359,26 +360,8 @@ class IntersectionOracle:
         return total
 
 
-def _trim(h: list[int]) -> list[int]:
-    while h and h[-1] == 0:
-        h.pop()
-    return h
-
-
-@lru_cache(maxsize=None)
-def _multiset_splits(mu: tuple[int, ...]):
-    """Ordered splits (alpha, beta) of the multiset mu with binomial weights."""
-    items = sorted(multiplicities(mu).items())
-    out = [((), (), 1)]
-    for v, m in items:
-        nxt = []
-        for alpha, beta, ways in out:
-            for take in range(m + 1):
-                nxt.append(
-                    (alpha + (v,) * take, beta + (v,) * (m - take), ways * binomial(m, take))
-                )
-        out = nxt
-    return tuple(out)
+# the DVV recursion splits the same few multisets many times over
+_multiset_splits = lru_cache(maxsize=None)(multiset_splits)
 
 
 def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .coeffs import ell_from_ab
-from .parampoly import ParamPoly
+from .parampoly import ParamPoly, add_terms, mul_terms
 from .rationals import binomial, fact, rat_str
 
 Partition = tuple[int, ...]
@@ -48,6 +48,25 @@ def multiplicities(p: Sequence[int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for x in p:
         out[x] = out.get(x, 0) + 1
+    return out
+
+
+def multiset_splits(mu: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """All ordered splits (alpha, beta) of the multiset mu, each with the
+    number of ways to split mu's labeled slots into it.
+
+    alpha and beta come out sorted ascending.  Uncached: the recursion
+    engine meets many distinct keys, and a cache for them costs more memory
+    than it saves time; the intersection oracle, which asks for the same few
+    keys over and over, wraps it in its own cache.
+    """
+    out = [((), (), 1)]
+    for v, m in sorted(multiplicities(mu).items()):
+        out = [
+            (alpha + (v,) * take, beta + (v,) * (m - take), ways * binomial(m, take))
+            for alpha, beta, ways in out
+            for take in range(m + 1)
+        ]
     return out
 
 
@@ -91,15 +110,8 @@ class KappaPoly:
         return None
 
     def __add__(self, other: "KappaPoly") -> "KappaPoly":
-        t = dict(self.terms)
-        for p, c in other.terms.items():
-            s = t.get(p, Fraction(0)) + c
-            if s:
-                t[p] = s
-            elif p in t:
-                del t[p]
         out = KappaPoly.__new__(KappaPoly)
-        out.terms = t
+        out.terms = add_terms(dict(self.terms), other.terms.items())
         return out
 
     def __neg__(self) -> "KappaPoly":
@@ -118,17 +130,8 @@ class KappaPoly:
             out = KappaPoly.__new__(KappaPoly)
             out.terms = {p: c * other for p, c in self.terms.items()}
             return out
-        t: dict[Partition, Fraction] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                p = merge_partitions(p1, p2)
-                s = t.get(p, Fraction(0)) + c1 * c2
-                if s:
-                    t[p] = s
-                elif p in t:
-                    del t[p]
         out = KappaPoly.__new__(KappaPoly)
-        out.terms = t
+        out.terms = mul_terms(self.terms, other.terms, merge_partitions)
         return out
 
     __rmul__ = __mul__
@@ -137,11 +140,6 @@ class KappaPoly:
         if not isinstance(other, KappaPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def graded_part(self, m: int) -> "KappaPoly":
-        return KappaPoly(
-            {p: c for p, c in self.terms.items() if partition_weight(p) == m}
-        )
 
     def _sorted_keys(self) -> list[Partition]:
         return sorted(self.terms, key=lambda p: (partition_weight(p), p))
@@ -178,6 +176,10 @@ class KappaPoly:
     __repr__ = __str__
 
 
+def _mixed_key(k1, k2):
+    return merge_partitions(k1[0], k2[0]), tuple(x + y for x, y in zip(k1[1], k2[1]))
+
+
 class MixedPoly:
     """Polynomial in kappa classes and psi_1..psi_n for a fixed point count n.
 
@@ -208,15 +210,8 @@ class MixedPoly:
     def __add__(self, other: "MixedPoly") -> "MixedPoly":
         if self.n != other.n:
             raise ValueError("mixing incompatible point counts")
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, Fraction(0)) + c
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
         out = MixedPoly.__new__(MixedPoly)
-        out.n, out.terms = self.n, t
+        out.n, out.terms = self.n, add_terms(dict(self.terms), other.terms.items())
         return out
 
     def __neg__(self) -> "MixedPoly":
@@ -235,17 +230,8 @@ class MixedPoly:
             other = MixedPoly.from_kappa(other, self.n)
         if self.n != other.n:
             raise ValueError("mixing incompatible point counts")
-        t: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
-        for (p1, a1), c1 in self.terms.items():
-            for (p2, a2), c2 in other.terms.items():
-                k = (merge_partitions(p1, p2), tuple(x + y for x, y in zip(a1, a2)))
-                s = t.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    t[k] = s
-                elif k in t:
-                    del t[k]
         out = MixedPoly.__new__(MixedPoly)
-        out.n, out.terms = self.n, t
+        out.n, out.terms = self.n, mul_terms(self.terms, other.terms, _mixed_key)
         return out
 
     __rmul__ = __mul__
@@ -300,14 +286,10 @@ def expand_family(ell: Sequence[Fraction], m_max: int) -> list[KappaPoly]:
         updated = [KappaPoly(dict(p.terms)) for p in pieces]
         for deg, coeff, part in factor_pows:
             for m in range(0, m_max - deg + 1):
-                for p, c in pieces[m].terms.items():
-                    key = merge_partitions(p, part)
-                    tgt = updated[m + deg]
-                    s = tgt.terms.get(key, Fraction(0)) + c * coeff
-                    if s:
-                        tgt.terms[key] = s
-                    elif key in tgt.terms:
-                        del tgt.terms[key]
+                add_terms(
+                    updated[m + deg].terms,
+                    ((merge_partitions(p, part), c * coeff) for p, c in pieces[m].terms.items()),
+                )
         pieces = updated
     return pieces
 

@@ -13,7 +13,7 @@ so values can be shared across concurrent workers without synchronization.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .rationals import rat_parse, rat_str
 
@@ -21,6 +21,43 @@ Key = tuple[int, tuple[int, ...]]
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+
+def add_terms(t: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, coeff) pairs into the term map t in place and return it.
+
+    Zero coefficients are skipped and a key whose sum cancels is deleted, so
+    no term map ever stores a zero.  This is the one zero-eliminating sum
+    behind every sparse class (ParamPoly, ZSeries, KappaPoly, MixedPoly,
+    TPoly).
+    """
+    for k, c in pairs:
+        if not c:
+            continue
+        s = t.get(k)
+        if s is None:
+            t[k] = c
+        else:
+            s = s + c
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+    return t
+
+
+def mul_terms(a: Mapping, b: Mapping, key: Callable) -> dict:
+    """Product of two term maps; key(k1, k2) is the product monomial, or
+    None to drop the pair (a degree or weight cap)."""
+    return add_terms(
+        {},
+        (
+            (k, c1 * c2)
+            for k1, c1 in a.items()
+            for k2, c2 in b.items()
+            if (k := key(k1, k2)) is not None
+        ),
+    )
 
 
 def _trim(h: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,15 +152,8 @@ class ParamPoly:
             return self
         if not self.terms:
             return other
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, _ZERO) + c
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
         out = ParamPoly.__new__(ParamPoly)
-        out.terms = t
+        out.terms = add_terms(dict(self.terms), other.terms.items())
         return out
 
     __radd__ = __add__
@@ -153,20 +183,15 @@ class ParamPoly:
 
     def mul(self, other: "ParamPoly", max_h_weight: int | None = None) -> "ParamPoly":
         """Product, optionally dropping monomials of h-weight > max_h_weight."""
-        t: dict[Key, Fraction] = {}
-        for (e1, h1), c1 in self.terms.items():
-            for (e2, h2), c2 in other.terms.items():
-                h = _hmul(h1, h2)
-                if max_h_weight is not None and _hweight(h) > max_h_weight:
-                    continue
-                k = (e1 + e2, h)
-                s = t.get(k, _ZERO) + c1 * c2
-                if s:
-                    t[k] = s
-                elif k in t:
-                    del t[k]
+
+        def key(k1: Key, k2: Key) -> Key | None:
+            h = _hmul(k1[1], k2[1])
+            if max_h_weight is not None and _hweight(h) > max_h_weight:
+                return None
+            return (k1[0] + k2[0], h)
+
         out = ParamPoly.__new__(ParamPoly)
-        out.terms = t
+        out.terms = mul_terms(self.terms, other.terms, key)
         return out
 
     def __pow__(self, n: int) -> "ParamPoly":
@@ -209,18 +234,10 @@ class ParamPoly:
     def subs_eps(self, value: Scalar) -> "ParamPoly":
         """Substitute a rational value for eps (exact; negative powers allowed)."""
         v = Fraction(value)
-        t: dict[Key, Fraction] = {}
-        for (e, h), c in self.terms.items():
-            if e and not v:
-                if e < 0:
-                    raise ZeroDivisionError("eps -> 0 with negative eps powers")
-                continue
-            s = t.get((0, h), _ZERO) + c * v**e
-            if s:
-                t[(0, h)] = s
-            elif (0, h) in t:
-                del t[(0, h)]
-        return ParamPoly(t)
+        if not v and any(e < 0 for e, _ in self.terms):
+            raise ZeroDivisionError("eps -> 0 with negative eps powers")
+        pairs = (((0, h), c * v**e) for (e, h), c in self.terms.items() if v or not e)
+        return ParamPoly(add_terms({}, pairs))
 
     def subs_h(self, values: Mapping[int, "ParamPoly | Scalar"]) -> "ParamPoly":
         """Substitute values (scalars or polynomials) for the h variables.

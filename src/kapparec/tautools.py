@@ -10,13 +10,13 @@ makes residual rows provably determined.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .intersect import IntersectionOracle
-from .kappapoly import multiplicities
-from .parampoly import PP_ZERO, ParamPoly
+from .kappapoly import multiplicities, multiset_splits
+from .parampoly import PP_ZERO, ParamPoly, add_terms, mul_terms
 from .rationals import fact, odd_df
-from .toprec import Engine, _sorted_tuples, correlators_to_potential
+from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
 
 Mono = tuple[int, ...]
 Entry = tuple[int, Mono]
@@ -43,34 +43,25 @@ class Potential:
     @staticmethod
     def from_engine(engine: Engine, budget: int, label: str = "") -> "Potential":
         coeffs: dict[Entry, ParamPoly] = {}
-        for lvl in range(1, budget + 1):
-            for g in range(0, lvl // 2 + 2):
-                n = lvl + 2 - 2 * g
-                if n < 1 or 2 * g - 2 + n != lvl:
-                    continue
-                pot = correlators_to_potential(engine.correlator(g, n))
-                for mono, c in pot.items():
-                    coeffs[(g, mono)] = c
+        for g, n in levels(budget):
+            for mono, c in correlators_to_potential(engine.correlator(g, n)).items():
+                coeffs[(g, mono)] = c
         return Potential(coeffs, budget, label or engine.curve.family)
 
     @staticmethod
     def kw_from_oracle(oracle: IntersectionOracle, budget: int) -> "Potential":
         coeffs: dict[Entry, ParamPoly] = {}
-        for lvl in range(1, budget + 1):
-            for g in range(0, lvl // 2 + 2):
-                n = lvl + 2 - 2 * g
-                if n < 1 or 2 * g - 2 + n != lvl:
+        for g, n in levels(budget):
+            for mono in _sorted_tuples(n, 3 * g - 3 + n):
+                if sum(mono) != 3 * g - 3 + n:
                     continue
-                for mono in _sorted_tuples(n, 3 * g - 3 + n):
-                    if sum(mono) != 3 * g - 3 + n:
-                        continue
-                    v = oracle.kw_number(g, mono)
-                    if not v:
-                        continue
-                    denom = 1
-                    for _, m in multiplicities(mono).items():
-                        denom *= fact(m)
-                    coeffs[(g, mono)] = ParamPoly.const(v / denom)
+                v = oracle.kw_number(g, mono)
+                if not v:
+                    continue
+                denom = 1
+                for _, m in multiplicities(mono).items():
+                    denom *= fact(m)
+                coeffs[(g, mono)] = ParamPoly.const(v / denom)
         return Potential(coeffs, budget, "kw")
 
 
@@ -96,25 +87,12 @@ def _d2_coeff(F: Potential, g: int, mono: Mono, a: int, b: int) -> ParamPoly:
     return c * Fraction(ma * mb)
 
 
-def _mono_splits(mono: Mono):
-    """Distinct ordered factorizations of a sorted monomial into two monomials."""
-    items = sorted(multiplicities(mono).items())
-    out = [((), ())]
-    for v, m in items:
-        nxt = []
-        for alpha, beta in out:
-            for take in range(m + 1):
-                nxt.append((alpha + (v,) * take, beta + (v,) * (m - take)))
-        out = nxt
-    return out
-
-
 def _quadratic_coeff(F: Potential, g: int, mono: Mono, a: int, b: int) -> ParamPoly:
     """Coefficient of hbar^g t^mono in (dF/dt_a)(dF/dt_b)."""
     total = PP_ZERO
     for g1 in range(0, g + 1):
         g2 = g - g1
-        for alpha, beta in _mono_splits(mono):
+        for alpha, beta, _ in multiset_splits(mono):
             c1 = _deriv_coeff(F, g1, alpha, a)
             if not c1:
                 continue
@@ -276,31 +254,16 @@ def bgw_bootstrap(budget: int) -> Potential:
     coeffs: dict[Entry, ParamPoly] = {}
     F = Potential(coeffs, budget, "bgw-bootstrap")
     empty: dict[int, Fraction] = {}
-    for lvl in range(1, budget + 1):
-        for g in range(0, lvl // 2 + 2):
-            n = lvl + 2 - 2 * g
-            if n < 1 or 2 * g - 2 + n != lvl:
-                continue
-            for key in _sorted_tuples(n, 3 * g - 3 + n):
-                m = key[-1]
-                mono = key[:-1]
-                rhs = constraint_row(F, m, g, mono, empty)
-                if rhs:
-                    val = rhs * Fraction(1, odd_df(m) * key.count(m))
-                    F.coeffs[(g, key)] = val
+    for g, n in levels(budget):
+        for key in _sorted_tuples(n, 3 * g - 3 + n):
+            m = key[-1]
+            rhs = constraint_row(F, m, g, key[:-1], empty)
+            if rhs:
+                F.coeffs[(g, key)] = rhs * Fraction(1, odd_df(m) * key.count(m))
     return F
 
 
 # -- KdV ---------------------------------------------------------------------------
-
-
-def _u_coeff(F: Potential, g: int, mono: Mono) -> ParamPoly:
-    key = tuple(sorted(mono + (0, 0)))
-    c = F.coeffs.get((g, key))
-    if c is None:
-        return PP_ZERO
-    m0 = mono.count(0)
-    return c * Fraction((m0 + 1) * (m0 + 2))
 
 
 def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
@@ -308,28 +271,14 @@ def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
 
     Rows are evaluated where the table determines them (level <= budget - 3).
     """
-    U: dict[Entry, ParamPoly] = {}
-    for (g, mono), c in F.coeffs.items():
-        m0 = mono.count(0)
-        if m0 >= 2:
-            U[(g, mono[2:])] = c * Fraction(m0 * (m0 - 1))
-
-    def u(g: int, mono: Mono) -> ParamPoly:
-        return U.get((g, tuple(sorted(mono))), PP_ZERO)
-
-    def u_d(g: int, mono: Mono, k: int) -> ParamPoly:
-        c = U.get((g, tuple(sorted(mono + (k,)))))
-        if c is None:
-            return PP_ZERO
-        return c * Fraction(mono.count(k) + 1)
-
-    def u_d3_0(g: int, mono: Mono) -> ParamPoly:
-        c = U.get((g, tuple(sorted(mono + (0, 0, 0)))))
-        if c is None:
-            return PP_ZERO
-        m0 = mono.count(0)
-        return c * Fraction((m0 + 1) * (m0 + 2) * (m0 + 3))
-
+    U = Potential(
+        {
+            (g, mono[2:]): c * Fraction(m0 * (m0 - 1))
+            for (g, mono), c in F.coeffs.items()
+            if (m0 := mono.count(0)) >= 2
+        },
+        F.budget,
+    )
     checked = 0
     bad: dict[Entry, ParamPoly] = {}
     for g in range(0, F.budget + 1):
@@ -337,9 +286,10 @@ def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
             if 2 * g - 2 + n_out > F.budget - 3:
                 continue
             for mono in _sorted_tuples(n_out, 3 * g + n_out + 1):
-                r = u_d(g, mono, 1)
-                r = r - ParamPoly.eps(0) * _uu0(u, u_d, g, mono)
-                d3 = u_d3_0(g - 1, mono)
+                r = _deriv_coeff(U, g, mono, 1)
+                r = r - ParamPoly.eps(0) * _uu0(U, g, mono)
+                m0 = mono.count(0)
+                d3 = U.coeff(g - 1, mono + (0, 0, 0)) * Fraction((m0 + 1) * (m0 + 2) * (m0 + 3))
                 if d3:
                     r = r - d3 * Fraction(1, 12)
                 checked += 1
@@ -348,15 +298,16 @@ def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
     return checked, bad
 
 
-def _uu0(u: Callable, u_d: Callable, g: int, mono: Mono) -> ParamPoly:
+def _uu0(U: Potential, g: int, mono: Mono) -> ParamPoly:
+    """Coefficient of hbar^g t^mono in U * U_{t_0}."""
     total = PP_ZERO
     for g1 in range(0, g + 1):
         g2 = g - g1
-        for alpha, beta in _mono_splits(mono):
-            c1 = u(g1, alpha)
+        for alpha, beta, _ in multiset_splits(mono):
+            c1 = U.coeff(g1, alpha)
             if not c1:
                 continue
-            c2 = u_d(g2, beta, 0)
+            c2 = _deriv_coeff(U, g2, beta, 0)
             if not c2:
                 continue
             total = total + c1 * c2
@@ -385,14 +336,7 @@ class TPoly:
         return TPoly({(i,): Fraction(1)}, deg)
 
     def __add__(self, other: "TPoly") -> "TPoly":
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t.get(k, Fraction(0)) + v
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
-        return TPoly(t, min(self.deg, other.deg))
+        return TPoly(add_terms(dict(self.terms), other.terms.items()), min(self.deg, other.deg))
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + other.scale(Fraction(-1))
@@ -402,24 +346,11 @@ class TPoly:
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         deg = min(self.deg, other.deg)
-        t: dict[Mono, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                if len(k1) + len(k2) > deg:
-                    continue
-                k = tuple(sorted(k1 + k2))
-                s = t.get(k, Fraction(0)) + v1 * v2
-                if s:
-                    t[k] = s
-                elif k in t:
-                    del t[k]
-        return TPoly(t, deg)
 
-    def pow(self, n: int) -> "TPoly":
-        out = TPoly.const(Fraction(1), self.deg)
-        for _ in range(n):
-            out = out * self
-        return out
+        def key(k1: Mono, k2: Mono) -> Mono | None:
+            return tuple(sorted(k1 + k2)) if len(k1) + len(k2) <= deg else None
+
+        return TPoly(mul_terms(self.terms, other.terms, key), deg)
 
     def valuation(self) -> int:
         return min((len(k) for k in self.terms), default=self.deg + 1)

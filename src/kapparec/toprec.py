@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .coeffs import h_star
-from .parampoly import PP_ZERO, ParamPoly
+from .kappapoly import multiplicities, multiset_splits
+from .parampoly import PP_ZERO, ParamPoly, _hweight, add_terms
 from .rationals import fact, odd_df
 from .zseries import ZSeries, principal_part, series_invert
 
@@ -72,14 +72,10 @@ class SpectralCurve:
 def _cap_series(s: ZSeries, cap: int) -> ZSeries:
     cs = {}
     for j, c in s.coeffs.items():
-        c2 = ParamPoly({k: v for k, v in c.terms.items() if _hw(k[1]) <= cap})
+        c2 = ParamPoly({k: v for k, v in c.terms.items() if _hweight(k[1]) <= cap})
         if c2:
             cs[j] = c2
     return ZSeries(cs, order=s.order, parity=s.parity)
-
-
-def _hw(h: tuple[int, ...]) -> int:
-    return sum((i + 1) * e for i, e in enumerate(h))
 
 
 def required_order(g: int, n: int) -> int:
@@ -188,23 +184,14 @@ def _sorted_tuples(n: int, total_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _sub_multisets(key: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """All ordered splits (alpha, beta) of a sorted multiset, with the number
-    of labeled-slot splits realizing each."""
-    from .kappapoly import multiplicities
-    from .rationals import binomial
-
-    items = sorted(multiplicities(key).items())
-    splits = [((), (), 1)]
-    for v, m in items:
-        nxt = []
-        for alpha, beta, ways in splits:
-            for take in range(m + 1):
-                nxt.append(
-                    (alpha + (v,) * take, beta + (v,) * (m - take), ways * binomial(m, take))
-                )
-        splits = nxt
-    return iter(splits)
+def levels(budget: int) -> list[tuple[int, int]]:
+    """Stable (g, n) with n >= 1 and 2g-2+n <= budget, by increasing level
+    and, within a level, increasing genus."""
+    return [
+        (g, lvl + 2 - 2 * g)
+        for lvl in range(1, budget + 1)
+        for g in range(0, (lvl + 1) // 2 + 1)
+    ]
 
 
 class Engine:
@@ -262,27 +249,21 @@ class Engine:
             if 2 * (g - 1) - 2 + (n + 1) > 0:
                 lower = self.correlator(g - 1, n + 1)
                 smax = 3 * (g - 1) - 3 + (n + 1) - sum(rest)
-                cs: dict[int, ParamPoly] = {}
-                for k in range(smax + 1):
-                    for kp in range(k, smax - k + 1):
-                        v = lower.value((k, kp) + rest)
-                        if not v:
-                            continue
-                        c = v * Fraction(odd_df(k) * odd_df(kp) * (1 if k == kp else 2))
-                        e = -2 * (k + kp) - 4
-                        s = cs.get(e, PP_ZERO) + c
-                        if s:
-                            cs[e] = s
-                        elif e in cs:
-                            del cs[e]
-                w = w + ZSeries(cs, order=None, parity=0)
+                diag = (
+                    (-2 * (k + kp) - 4, v * Fraction((1 if k == kp else 2) * odd_df(k) * odd_df(kp)))
+                    for k in range(smax + 1)
+                    for kp in range(k, smax - k + 1)
+                    if (v := lower.value((k, kp) + rest))
+                )
+                w = w + ZSeries(add_terms({}, diag), order=None, parity=0)
             elif (g, n) == (1, 1):
                 w = w + ZSeries({-2: Fraction(1, 4)}, order=None, parity=0)
         # ordered pair products; w_{0,1} factors vanish and must be skipped
         # before any recursive lookup (they would otherwise self-recurse)
+        splits = multiset_splits(rest)
         for g1 in range(0, g + 1):
             g2 = g - g1
-            for alpha, beta, ways in _sub_multisets(rest):
+            for alpha, beta, ways in splits:
                 if (g1 == 0 and not alpha) or (g2 == 0 and not beta):
                     continue
                 s1 = self._slice_series(g1, alpha)
@@ -360,8 +341,6 @@ def correlators_to_potential(corr: Correlator) -> dict[tuple[int, ...], ParamPol
     The coefficient of prod t_{k_i} (sorted key) is the correlator entry
     divided by the product of multiplicities' factorials.
     """
-    from .kappapoly import multiplicities
-
     out = {}
     for key, c in corr.entries.items():
         denom = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .parampoly import PP_ZERO, ParamPoly, Scalar
+from .parampoly import PP_ZERO, ParamPoly, Scalar, add_terms
 
 Coeff = Union[ParamPoly, Fraction, int]
 
@@ -106,13 +106,7 @@ class ZSeries:
 
     def __add__(self, other: "ZSeries") -> "ZSeries":
         order = _min_order(self.order, other.order)
-        cs = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            s = cs.get(j, PP_ZERO) + c
-            if s:
-                cs[j] = s
-            elif j in cs:
-                del cs[j]
+        cs = add_terms(dict(self.coeffs), other.coeffs.items())
         if order is not None:
             cs = {j: c for j, c in cs.items() if j < order}
         if not self.coeffs:
@@ -178,24 +172,18 @@ class ZSeries:
         )
         if hi is not None:
             order = _min_order(order, hi + 1)
-        cs: dict[int, ParamPoly] = {}
-        a_items = list(self.coeffs.items())
-        b_items = list(other.coeffs.items())
-        if len(a_items) > len(b_items):
-            a_items, b_items = b_items, a_items
-        for j1, c1 in a_items:
-            for j2, c2 in b_items:
-                j = j1 + j2
-                if order is not None and j >= order:
-                    continue
-                p = c1.mul(c2, max_h_weight=max_h_weight)
-                if not p:
-                    continue
-                s = cs.get(j, PP_ZERO) + p
-                if s:
-                    cs[j] = s
-                elif j in cs:
-                    del cs[j]
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        cs = add_terms(
+            {},
+            (
+                (j1 + j2, c1.mul(c2, max_h_weight=max_h_weight))
+                for j1, c1 in a.items()
+                for j2, c2 in b.items()
+                if order is None or j1 + j2 < order
+            ),
+        )
         if self.parity is None or other.parity is None:
             parity = None
         else:

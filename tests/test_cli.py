@@ -148,13 +148,22 @@ def test_bad_arguments_are_usage_errors(capsys):
         (["potentials", "--family", "nope"], "--family"),
         (["kappa-polys", "--m-max", "-1"], "--m-max"),
         (["potentials", "--epsilon-budget", "-2"], "--epsilon-budget"),
+        (["verify", "--suite", "regularity", "--family", "nope"], "--family"),
     ):
         code, out, err = run(capsys, args)
         assert code == 2 and out == "" and msg in err, args
 
 
 def test_verify_nothing_checked(capsys):
-    for suite, budget in (("regularity", "0"), ("hurwitz", "0"), ("conjecture", "-3")):
+    for suite, budget in (
+        ("regularity", "0"),
+        ("regularity", "-1"),
+        ("hurwitz", "0"),
+        ("hurwitz", "-5"),
+        ("conjecture", "-3"),
+        ("virasoro", "-5"),
+        ("kdv", "-10"),
+    ):
         code, out, err = run(capsys, ["verify", "--suite", suite, "--epsilon-budget", budget])
         assert code == 2 and "PASS" not in out and "nothing checked" in err, suite
 
@@ -177,6 +186,24 @@ def test_cache_verify_names_a_wrong_value(capsys, tmp_path):
     assert json.loads(out)["bad"] == {"0;0,0,0;": "stored 7, recomputed 1"}
     code, _, err = run(capsys, ["cache", "--action", "nope", "--cache", str(cpath)])
     assert code == 2 and "verify" in err
+
+
+def test_verify_names_a_poisoned_cache_entry(capsys, tmp_path):
+    cpath = tmp_path / "cache.json"
+    args = ["verify", "--suite", "kdv", "--epsilon-budget", "1", "--cache", str(cpath)]
+    code, _, _ = run(capsys, args)
+    assert code == 0
+    blob = json.loads(cpath.read_text())
+    blob["entries"]["0;0,0,0;"] = "7"
+    cpath.write_text(json.dumps(blob))
+    before = cpath.read_bytes()
+    code, out, err = run(capsys, args)
+    assert code == 2 and "status" not in out
+    assert err == "bad cache entry 0;0,0,0;: stored 7, recomputed 1\n"
+    assert cpath.read_bytes() == before
+    code, _, err = run(capsys, ["hurwitz", "--g", "0", "--partition", "1,1,1", "--cache", str(cpath)])
+    assert code == 2 and "bad cache entry 0;0,0,0;" in err
+    assert cpath.read_bytes() == before
 
 
 def test_verify_reports_effective_budget(capsys):

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from kapparec.kappapoly import KappaPoly, MixedPoly
 from kapparec.parampoly import ParamPoly
 from kapparec.rationals import odd_df, rat_parse, rat_str
+from kapparec.tautools import TPoly
 from kapparec.zseries import (
     TruncationError,
     ZSeries,
@@ -44,6 +46,74 @@ def test_parampoly_ring_axioms_random():
         assert a * b == b * a
         assert a + (-a) == ParamPoly.zero()
         assert a * ParamPoly.one() == a
+
+
+def rnd_terms(rng: random.Random, key) -> dict:
+    return {key(): F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))}
+
+
+def no_zero(terms) -> bool:
+    return all(c for c in terms.values())
+
+
+def test_kappa_mixed_ring_axioms_random():
+    rng = random.Random(20241018)
+
+    def part():
+        return tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+
+    def rnd_kappa():
+        return KappaPoly(rnd_terms(rng, part))
+
+    def rnd_mixed():
+        return MixedPoly(2, rnd_terms(rng, lambda: (part(), (rng.randint(0, 1), rng.randint(0, 1)))))
+
+    for rnd, one in ((rnd_kappa, KappaPoly.one()), (rnd_mixed, MixedPoly(2, {((), (0, 0)): 1}))):
+        for _ in range(80):
+            a, b, c = rnd(), rnd(), rnd()
+            assert (a + b) + c == a + (b + c)
+            assert a + b == b + a
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a * b == b * a
+            assert a * one == a
+            assert (a + (-a)).terms == {}
+            assert no_zero((a + b).terms) and no_zero((a * b).terms)
+
+
+def test_tpoly_ring_axioms_random():
+    rng = random.Random(7)
+
+    def mono():
+        return tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(0, 3))))
+
+    def rnd():
+        return TPoly(rnd_terms(rng, mono), 4)
+
+    for _ in range(80):
+        a, b, c = rnd(), rnd(), rnd()
+        assert ((a + b) + c).terms == (a + (b + c)).terms
+        assert (a + b).terms == (b + a).terms
+        assert ((a * b) * c).terms == (a * (b * c)).terms
+        assert (a * (b + c)).terms == (a * b + a * c).terms
+        assert (a * b).terms == (b * a).terms
+        assert (a * TPoly.const(F(1), 4)).terms == a.terms
+        assert all(len(k) <= 4 for k in (a * b).terms)
+        assert (a - a).terms == {}
+        assert no_zero((a + b).terms) and no_zero((a * b).terms)
+
+
+def test_sparse_sums_store_no_zero():
+    rng = random.Random(31)
+    for _ in range(80):
+        a, b = rnd_poly(rng), rnd_poly(rng)
+        assert (a + (-a)).terms == {}
+        assert no_zero((a + b).terms) and no_zero((a * b).terms)
+        s = ZSeries({j: rnd_poly(rng) for j in range(-2, 3)})
+        t = ZSeries({j: rnd_poly(rng) for j in range(-2, 3)})
+        assert (s - s).coeffs == {}
+        assert (s * t - t * s).coeffs == {}
+        assert all(c and no_zero(c.terms) for c in (s * t + s).coeffs.values())
 
 
 def test_parampoly_eps_valuation_additive():
