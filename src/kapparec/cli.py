@@ -34,10 +34,8 @@ _FAMILY_POLYS = {"k": k_polys, "j": j_polys, "p": p_polys}
 
 
 def _emit(args, payload) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
+    """Write a pretty string as is, anything else as sorted, indented JSON."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -108,8 +106,7 @@ def _engine(family: str, g: int, n: int) -> Engine:
 def cmd_kappa_polys(args) -> int:
     _check_family(args.family, _FAMILY_POLYS)
     if args.m_max < 0:
-        print("--m-max must be non-negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--m-max must be non-negative")
     polys = _FAMILY_POLYS[args.family](args.m_max)
     name = args.family.upper()
     if args.format == "json":
@@ -124,14 +121,9 @@ def cmd_correlators(args) -> int:
     _check_family(args.family, FAMILIES)
     g, n = args.g, args.n
     if n < 1 or 2 * g - 2 + n <= 0:
-        print("need a stable (g, n) with n >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("need a stable (g, n) with n >= 1")
     if 2 * g - 2 + n > args.epsilon_budget:
-        print(
-            f"(g, n) level {2*g-2+n} above --epsilon-budget {args.epsilon_budget}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise UsageError(f"(g, n) level {2*g-2+n} above --epsilon-budget {args.epsilon_budget}")
     _emit(args, _engine(args.family, g, n).correlator(g, n).to_json())
     return 0
 
@@ -140,8 +132,7 @@ def cmd_potentials(args) -> int:
     _check_family(args.family, FAMILIES)
     budget = args.epsilon_budget
     if budget < 0:
-        print("--epsilon-budget must be non-negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--epsilon-budget must be non-negative")
     t_max = args.t_max
     if args.family == "bgw":
         pot = bgw_bootstrap(budget)
@@ -339,21 +330,18 @@ _SUITES = {
 def cmd_verify(args) -> int:
     suite = _SUITES.get(args.suite)
     if suite is None:
-        print(f"--suite must be one of {sorted(_SUITES)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"--suite must be one of {sorted(_SUITES)}")
     report: dict = {"suite": args.suite}
     args.oracle = None
     try:
         ok = suite(args, report)
     except (BudgetError, InsufficientOrderError) as exc:
-        print(f"infeasible budget: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"infeasible budget: {exc}") from exc
     if not ok and _blame_cache(args.oracle):
         return USAGE_ERROR
     _save_cache(args.oracle)
     if not report["rows"]:
-        print(f"nothing checked: suite {args.suite} produced no rows", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"nothing checked: suite {args.suite} produced no rows")
     report["status"] = "PASS" if ok else "FAIL"
     if args.format == "json":
         _emit(args, report)
@@ -366,21 +354,17 @@ def cmd_hurwitz(args) -> int:
     try:
         part = tuple(int(x) for x in args.partition.split(","))
     except ValueError:
-        print("--partition must be comma-separated integers", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--partition must be comma-separated integers")
     if not part or any(x < 1 for x in part):
-        print("partition parts must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("partition parts must be positive")
     g = args.g
     if 2 * g - 2 + len(part) <= 0:
-        print("outside stable range", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("outside stable range")
     oracle = _oracle(args)
     try:
         r = hurwitz_three_ways(oracle, _engine("kstar", g, len(part)), g, part)
     except BudgetError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"infeasible: {exc}") from exc
     vals = {v for v in r.values() if v is not None}
     if len(vals) != 1 and _blame_cache(oracle):
         return USAGE_ERROR
@@ -403,40 +387,34 @@ def cmd_hurwitz(args) -> int:
 def cmd_cache(args) -> int:
     path = args.cache or default_cache_path()
     if not path:
-        print("no cache path: pass --cache or set KAPPAREC_CACHE", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("no cache path: pass --cache or set KAPPAREC_CACHE")
     cache = _open_cache(path)
     if args.action == "stats":
         _emit(args, cache.stats())
         return 0
     if args.action == "export":
         if not args.out:
-            print("export needs --out", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("export needs --out")
         cache.save(args.out)
         print(f"exported {len(cache.data)} entries to {args.out}")
         return 0
     if args.action == "import":
         if not args.infile:
-            print("import needs --in", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("import needs --in")
         try:
             incoming = Cache(args.infile)
         except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"refusing import: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"refusing import: {exc}") from exc
         for k, v in incoming.data.items():
             if cache.data.get(k, v) != v:
-                print(f"refusing import: conflicting value at {k}", file=sys.stderr)
-                return USAGE_ERROR
+                raise UsageError(f"refusing import: conflicting value at {k}")
             cache.data[k] = v
         cache.save(path)
         print(f"imported {len(incoming.data)} entries into {path}")
         return 0
     if args.action == "verify":
         return _verify_cache(args, cache)
-    print("--action must be stats, export, import, or verify", file=sys.stderr)
-    return USAGE_ERROR
+    raise UsageError("--action must be stats, export, import, or verify")
 
 
 def _bad_entries(cache: Cache) -> dict[str, str]:

@@ -119,3 +119,22 @@ def h_star(style: str, k: int) -> Fraction:
     if style == "j":
         return Fraction((-1) ** k * fact(k))
     raise ValueError(f"unknown specialization style {style!r}")
+
+
+def htilde_weak(style: str, n_h: int, w_max: int) -> dict[int, ParamPoly]:
+    """Shift sequence htilde_0..htilde_{w_max} of the eps-rescaled
+    two-parameter family with formal h_1..h_{n_h}:
+
+        htilde_k = sum_{i+j=k, j<=n_h} eps^{-i-1} hstar_i h_j,   h_0 = 1,
+
+    so htilde_0 = 1/eps.  The curve of the family has y-coefficient
+    htilde_k/(2k+1)!! at z^{2k+1}; n_h = 0 gives the "k"/"j" curves.
+    """
+    out = {}
+    for k in range(w_max + 1):
+        terms = {}
+        for j in range(min(k, n_h) + 1):
+            hexp = (0,) * (j - 1) + (1,) if j else ()  # the monomial h_j
+            terms[(j - k - 1, hexp)] = h_star(style, k - j)
+        out[k] = ParamPoly(terms)
+    return out

@@ -20,7 +20,7 @@ from math import factorial
 from typing import Sequence
 
 from .intersect import IntersectionOracle
-from .kappapoly import multiplicities
+from .kappapoly import aut
 from .rationals import binomial, odd_df
 from .toprec import Correlator, Engine
 
@@ -68,13 +68,11 @@ def brute_force(
         raise BudgetError(
             f"need d <= {d}, m <= {m}; configured budget is d <= {d_max}, m <= {m_max}"
         )
-    aut = 1
-    for _, mm in multiplicities(partition).items():
-        aut *= factorial(mm)
+    automorphisms = aut(partition)
     if d == 1:
         return Fraction(1 if m == 0 else 0)
     if m == 0:
-        return Fraction(aut if partition == (1,) * d else 0, factorial(d))
+        return Fraction(automorphisms if partition == (1,) * d else 0, factorial(d))
 
     # a component is labelled by its smallest point, so one component reads (0,) * d
     states = {(1, tuple(range(d)), tuple(range(d))): 1}
@@ -102,7 +100,7 @@ def brute_force(
         for (_, perm, labels), c in states.items()
         if labels == connected and _cycle_type(perm) == partition
     )
-    return Fraction(count * aut, factorial(d))
+    return Fraction(count * automorphisms, factorial(d))
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:

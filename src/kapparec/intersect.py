@@ -36,6 +36,7 @@ from .kappapoly import (
     KappaPoly,
     MixedPoly,
     Partition,
+    aut,
     multiplicities,
     multiset_splits,
     partition_weight,
@@ -247,10 +248,7 @@ class IntersectionOracle:
             base = self.kw_number(g, psis + extra)
             if not base:
                 continue
-            coeff = Fraction((-1) ** len(b), 1)
-            for _, m in multiplicities(b).items():
-                coeff /= fact(m)
-            term = base * coeff
+            term = base * Fraction((-1) ** len(b), aut(b))
             for part in b:
                 hv = hvals.get(part, Zero)
                 if isinstance(hv, ParamPoly):

@@ -51,6 +51,15 @@ def multiplicities(p: Sequence[int]) -> dict[int, int]:
     return out
 
 
+def aut(mu: Sequence[int]) -> int:
+    """Order of the automorphism group of the multiset mu: the product of
+    its multiplicities' factorials."""
+    out = 1
+    for m in multiplicities(mu).values():
+        out *= fact(m)
+    return out
+
+
 def multiset_splits(mu: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """All ordered splits (alpha, beta) of the multiset mu, each with the
     number of ways to split mu's labeled slots into it.

@@ -10,9 +10,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-Rat = Fraction
-
-
 def rat_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     x = Fraction(x)
@@ -51,18 +48,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-@lru_cache(maxsize=None)
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention), via the defining recurrence."""
-    if n == 0:
-        return Fraction(1)
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
 
 
 def fact(n: int) -> int:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from .coeffs import htilde_weak  # noqa: F401  (the shift sequence, re-exported)
 from .intersect import IntersectionOracle
-from .kappapoly import multiplicities, multiset_splits
+from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, add_terms, mul_terms
 from .rationals import fact, odd_df
 from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
@@ -58,49 +59,53 @@ class Potential:
                 v = oracle.kw_number(g, mono)
                 if not v:
                     continue
-                denom = 1
-                for _, m in multiplicities(mono).items():
-                    denom *= fact(m)
-                coeffs[(g, mono)] = ParamPoly.const(v / denom)
+                coeffs[(g, mono)] = ParamPoly.const(v / aut(mono))
         return Potential(coeffs, budget, "kw")
 
 
 # -- derivative / product coefficient extraction --------------------------------
 
 
-def _deriv_coeff(F: Potential, g: int, mono: Mono, k: int) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in dF/dt_k."""
-    key = tuple(sorted(mono + (k,)))
-    c = F.coeffs.get((g, key))
-    if c is None:
-        return PP_ZERO
-    return c * Fraction(mono.count(k) + 1)
+def _dcoeff(F: Potential, g: int, mono: Mono, ds: Mono) -> ParamPoly:
+    """Coefficient of hbar^g t^mono in the derivative of F by t_d for each d in ds.
+
+    Inserting d into a monomial that already holds it c times gives the factor
+    c + 1; the factors multiply as each d is inserted in turn.
+    """
+    key = mono
+    factor = 1
+    for d in ds:
+        key += (d,)
+        factor *= key.count(d)
+    c = F.coeffs.get((g, tuple(sorted(key))))
+    return PP_ZERO if c is None else c * Fraction(factor)
 
 
-def _d2_coeff(F: Potential, g: int, mono: Mono, a: int, b: int) -> ParamPoly:
-    key = tuple(sorted(mono + (a, b)))
-    c = F.coeffs.get((g, key))
-    if c is None:
-        return PP_ZERO
-    mb = mono.count(b) + 1
-    ma = (mono + (b,)).count(a) + 1
-    return c * Fraction(ma * mb)
-
-
-def _quadratic_coeff(F: Potential, g: int, mono: Mono, a: int, b: int) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in (dF/dt_a)(dF/dt_b)."""
+def _product_coeff(F: Potential, g: int, mono: Mono, da: Mono, db: Mono) -> ParamPoly:
+    """Coefficient of hbar^g t^mono in (d_{da} F)(d_{db} F)."""
     total = PP_ZERO
+    splits = multiset_splits(mono)
     for g1 in range(0, g + 1):
-        g2 = g - g1
-        for alpha, beta, _ in multiset_splits(mono):
-            c1 = _deriv_coeff(F, g1, alpha, a)
+        for alpha, beta, _ in splits:
+            c1 = _dcoeff(F, g1, alpha, da)
             if not c1:
                 continue
-            c2 = _deriv_coeff(F, g2, beta, b)
-            if not c2:
-                continue
-            total = total + c1 * c2
+            c2 = _dcoeff(F, g - g1, beta, db)
+            if c2:
+                total = total + c1 * c2
     return total
+
+
+def _residuals(rows, residual) -> tuple[int, dict[Entry, ParamPoly]]:
+    """(rows checked, nonzero residual entries) of residual(g, mono) over rows."""
+    checked = 0
+    bad: dict[Entry, ParamPoly] = {}
+    for g, mono in rows:
+        r = residual(g, mono)
+        checked += 1
+        if r:
+            bad[(g, mono)] = r
+    return checked, bad
 
 
 # -- Virasoro ----------------------------------------------------------------------
@@ -125,10 +130,10 @@ def constraint_row(
     for a in range(0, m):
         b = m - 1 - a
         c = Fraction(odd_df(a) * odd_df(b), 2)
-        d2 = _d2_coeff(F, g - 1, mono, a, b)
+        d2 = _dcoeff(F, g - 1, mono, (a, b))
         if d2:
             total = total + d2 * c
-        q = _quadratic_coeff(F, g, mono, a, b)
+        q = _product_coeff(F, g, mono, (a,), (b,))
         if q:
             total = total + q * c
     for v in set(mono):
@@ -137,14 +142,14 @@ def constraint_row(
             continue
         rest = list(mono)
         rest.remove(v)
-        c = _deriv_coeff(F, g, tuple(rest), k)
+        c = _dcoeff(F, g, tuple(rest), (k,))
         if c:
             total = total + c * Fraction(odd_df(k), odd_df(v - 1))
     for i, hv in htilde.items():
         k = m + i + 1
         if k < 0:
             continue
-        c = _deriv_coeff(F, g, mono, k)
+        c = _dcoeff(F, g, mono, (k,))
         if not c:
             continue
         term = c * Fraction(odd_df(k), odd_df(i))
@@ -157,64 +162,36 @@ def constraint_row(
     return total
 
 
-def _row_candidates(g: int, n_out: int, m: int):
-    smax = 3 * g - 2 + n_out - m
-    if smax < 0:
-        return ()
-    return _sorted_tuples(n_out, smax)
+def _determined_rows(budget: int, m: int):
+    """Rows (g, mono) of the m-th constraint that a budget-complete table
+    determines: 2g-2+len(mono), plus one for h-corrections beyond htilde_0,
+    stays within the budget, and sum(mono) <= 3g-2+len(mono)-m (heavier rows
+    are off dimension)."""
+    for g in range(0, budget + 1):
+        for n_out in range(0, budget + 2 - 2 * g):
+            smax = 3 * g - 2 + n_out - m
+            if smax >= 0:
+                for mono in _sorted_tuples(n_out, smax):
+                    yield g, mono
 
 
 def virasoro_rows(
     F: Potential,
     m: int,
     htilde: Mapping[int, ParamPoly | Fraction],
-    g_max: int | None = None,
 ) -> tuple[int, dict[Entry, ParamPoly]]:
     """Evaluate the m-th constraint on every determined row.
 
     Returns (rows checked, nonzero residual entries); an empty dict means the
-    constraint holds to the table's truncation.  Rows (g, mono) are
-    determined when 2g-2+len(mono), plus one for h-corrections beyond
-    htilde_0, stays within the budget.
+    constraint holds to the table's truncation.
     """
-    checked = 0
-    bad: dict[Entry, ParamPoly] = {}
-    gm = g_max if g_max is not None else F.budget
-    for g in range(0, gm + 1):
-        for n_out in range(0, F.budget + 3 - 2 * g):
-            if 2 * g - 2 + n_out + 1 > F.budget:
-                continue
-            for mono in _row_candidates(g, n_out, m):
-                r = constraint_row(F, m, g, mono, htilde)
-                checked += 1
-                if r:
-                    bad[(g, mono)] = r
-    return checked, bad
+    return _residuals(
+        _determined_rows(F.budget, m), lambda g, mono: constraint_row(F, m, g, mono, htilde)
+    )
 
 
 def htilde_unshifted() -> dict[int, Fraction]:
     return {0: Fraction(1)}
-
-
-def htilde_weak(style: str, n_h: int, w_max: int) -> dict[int, ParamPoly]:
-    """Effective shift sequence of the eps-rescaled two-parameter family.
-
-    htilde_k = sum_{i+j=k} eps^{-i-1} hstar_i h_j, including htilde_0 = 1/eps.
-    """
-    from .coeffs import h_star
-
-    out: dict[int, ParamPoly] = {}
-    for k in range(0, w_max + 1):
-        acc = ParamPoly.zero()
-        for i in range(k + 1):
-            j = k - i
-            if j > n_h:
-                continue
-            hj = ParamPoly.one() if j == 0 else ParamPoly.h(j)
-            acc = acc + ParamPoly.eps(-(i + 1), h_star(style, i)) * hj
-        if acc:
-            out[k] = acc
-    return out
 
 
 def virk_rows(F: Potential, m: int, with_eps: bool = True) -> tuple[int, dict[Entry, ParamPoly]]:
@@ -226,23 +203,15 @@ def virk_rows(F: Potential, m: int, with_eps: bool = True) -> tuple[int, dict[En
     """
     if m < 0:
         raise ValueError("virK constraints start at m = 0")
-    checked = 0
-    bad: dict[Entry, ParamPoly] = {}
     empty: dict[int, Fraction] = {}
-    for g in range(0, F.budget + 1):
-        for n_out in range(0, F.budget + 3 - 2 * g):
-            if 2 * g - 2 + n_out + 1 > F.budget:
-                continue
-            for mono in _row_candidates(g, n_out, m):
-                lhs = _deriv_coeff(F, g, mono, m) * Fraction(odd_df(m))
-                rhs = constraint_row(F, m, g, mono, empty)
-                if with_eps:
-                    rhs = rhs + ParamPoly.eps(1) * constraint_row(F, m - 1, g, mono, empty)
-                r = lhs - rhs
-                checked += 1
-                if r:
-                    bad[(g, mono)] = r
-    return checked, bad
+
+    def residual(g: int, mono: Mono) -> ParamPoly:
+        rhs = constraint_row(F, m, g, mono, empty)
+        if with_eps:
+            rhs = rhs + ParamPoly.eps(1) * constraint_row(F, m - 1, g, mono, empty)
+        return _dcoeff(F, g, mono, (m,)) * Fraction(odd_df(m)) - rhs
+
+    return _residuals(_determined_rows(F.budget, m), residual)
 
 
 def bgw_bootstrap(budget: int) -> Potential:
@@ -271,47 +240,18 @@ def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
 
     Rows are evaluated where the table determines them (level <= budget - 3).
     """
-    U = Potential(
-        {
-            (g, mono[2:]): c * Fraction(m0 * (m0 - 1))
-            for (g, mono), c in F.coeffs.items()
-            if (m0 := mono.count(0)) >= 2
-        },
-        F.budget,
+    rows = (
+        (g, mono)
+        for g in range(0, F.budget + 1)
+        for n_out in range(0, F.budget - 2 * g)
+        for mono in _sorted_tuples(n_out, 3 * g + n_out + 1)
     )
-    checked = 0
-    bad: dict[Entry, ParamPoly] = {}
-    for g in range(0, F.budget + 1):
-        for n_out in range(0, F.budget + 1):
-            if 2 * g - 2 + n_out > F.budget - 3:
-                continue
-            for mono in _sorted_tuples(n_out, 3 * g + n_out + 1):
-                r = _deriv_coeff(U, g, mono, 1)
-                r = r - ParamPoly.eps(0) * _uu0(U, g, mono)
-                m0 = mono.count(0)
-                d3 = U.coeff(g - 1, mono + (0, 0, 0)) * Fraction((m0 + 1) * (m0 + 2) * (m0 + 3))
-                if d3:
-                    r = r - d3 * Fraction(1, 12)
-                checked += 1
-                if r:
-                    bad[(g, mono)] = r
-    return checked, bad
-
-
-def _uu0(U: Potential, g: int, mono: Mono) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in U * U_{t_0}."""
-    total = PP_ZERO
-    for g1 in range(0, g + 1):
-        g2 = g - g1
-        for alpha, beta, _ in multiset_splits(mono):
-            c1 = U.coeff(g1, alpha)
-            if not c1:
-                continue
-            c2 = _deriv_coeff(U, g2, beta, 0)
-            if not c2:
-                continue
-            total = total + c1 * c2
-    return total
+    return _residuals(
+        rows,
+        lambda g, mono: _dcoeff(F, g, mono, (0, 0, 1))
+        - _product_coeff(F, g, mono, (0, 0), (0, 0, 0))
+        - _dcoeff(F, g - 1, mono, (0,) * 5) * Fraction(1, 12),
+    )
 
 
 # -- genus 1 closed form ---------------------------------------------------------

@@ -23,10 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import h_star
-from .kappapoly import multiplicities, multiset_splits
-from .parampoly import PP_ZERO, ParamPoly, _hweight, add_terms
-from .rationals import fact, odd_df
+from .coeffs import htilde_weak
+from .kappapoly import aut, multiset_splits
+from .parampoly import PP_ZERO, ParamPoly, add_terms
+from .rationals import odd_df
 from .zseries import ZSeries, principal_part, series_invert
 
 FAMILIES = ("kw", "k", "j", "weak-k", "weak-j", "bgw", "kstar")
@@ -57,25 +57,15 @@ class SpectralCurve:
         return self.y.shift(1)
 
     def inv2eta(self) -> ZSeries:
+        """1/(2 eta/dz), not cut at h_weight_cap: every product that uses it
+        drops the terms over the cap, and h-weights are non-negative and add."""
         if self._inv2eta is None:
             two_eta = self.eta_over_dz().scale(2)
             if two_eta.order is None:
-                inv = series_invert(two_eta, out_order=self.order)
+                self._inv2eta = series_invert(two_eta, out_order=self.order)
             else:
-                inv = series_invert(two_eta)
-            if self.h_weight_cap is not None:
-                inv = _cap_series(inv, self.h_weight_cap)
-            self._inv2eta = inv
+                self._inv2eta = series_invert(two_eta)
         return self._inv2eta
-
-
-def _cap_series(s: ZSeries, cap: int) -> ZSeries:
-    cs = {}
-    for j, c in s.coeffs.items():
-        c2 = ParamPoly({k: v for k, v in c.terms.items() if _hweight(k[1]) <= cap})
-        if c2:
-            cs[j] = c2
-    return ZSeries(cs, order=s.order, parity=s.parity)
 
 
 def required_order(g: int, n: int) -> int:
@@ -103,33 +93,14 @@ def build_curve(family: str, order: int, n_h: int = 0,
     elif family == "kstar":
         y = ZSeries({2 * k + 1: 1 for k in range(order // 2 + 1) if 2 * k + 1 < order},
                     order=order, parity=1)
-    elif family in ("k", "j"):
-        style = family
-        cs = {}
-        for k in range(order // 2 + 1):
-            e = 2 * k + 1
-            if e >= order:
-                break
-            cs[e] = ParamPoly.eps(-(k + 1), h_star(style, k) / odd_df(k))
-        y = ZSeries(cs, order=order, parity=1)
     else:
-        style = family.split("-")[1]
-        cs = {}
-        for k in range(order // 2 + 1):
-            e = 2 * k + 1
-            if e >= order:
-                break
-            acc = ParamPoly.zero()
-            for i in range(k + 1):
-                j = k - i
-                if j > n_h:
-                    continue
-                hj = ParamPoly.one() if j == 0 else ParamPoly.h(j)
-                acc = acc + ParamPoly.eps(-(i + 1), h_star(style, i)) * hj
-            acc = acc * Fraction(1, odd_df(k))
-            if acc:
-                cs[e] = acc
-        y = ZSeries(cs, order=order, parity=1)
+        # "k"/"j" are the two-parameter curves without formal h-parameters
+        htilde = htilde_weak(family[-1], n_h if family.startswith("weak") else 0, (order - 2) // 2)
+        y = ZSeries(
+            {2 * k + 1: c * Fraction(1, odd_df(k)) for k, c in htilde.items()},
+            order=order,
+            parity=1,
+        )
     return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=h_weight_cap)
 
 
@@ -339,12 +310,6 @@ def correlators_to_potential(corr: Correlator) -> dict[tuple[int, ...], ParamPol
     """Coefficients of the potential piece F_{g,n} on monomials in t.
 
     The coefficient of prod t_{k_i} (sorted key) is the correlator entry
-    divided by the product of multiplicities' factorials.
+    divided by the order of its automorphism group.
     """
-    out = {}
-    for key, c in corr.entries.items():
-        denom = 1
-        for _, m in multiplicities(key).items():
-            denom *= fact(m)
-        out[key] = c * Fraction(1, denom)
-    return out
+    return {key: c * Fraction(1, aut(key)) for key, c in corr.entries.items()}

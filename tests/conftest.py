@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
+
 import pytest
 
 from kapparec.intersect import IntersectionOracle
 from kapparec.toprec import Engine, build_curve, required_order
+
+
+@lru_cache(maxsize=None)
+def bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n (B_1 = -1/2), from sum_{j<=n} C(n+1, j) B_j = 0:
+    the reference the closed-form tests compare against."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
 
 
 @pytest.fixture(scope="session")

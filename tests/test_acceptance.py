@@ -22,7 +22,7 @@ from kapparec.epsilonlab import (
 from kapparec.hurwitz import hurwitz_three_ways, pvec
 from kapparec.kappapoly import j_polys, k_polys, partitions
 from kapparec.parampoly import ParamPoly
-from kapparec.rationals import bernoulli, fact, odd_df
+from kapparec.rationals import fact, odd_df
 from kapparec.tautools import (
     Potential,
     bgw_bootstrap,
@@ -33,6 +33,8 @@ from kapparec.tautools import (
     virk_rows,
 )
 from kapparec.toprec import _sorted_tuples, correlators_to_potential
+
+from conftest import bernoulli
 
 PASS = "PASS"
 

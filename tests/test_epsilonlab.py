@@ -16,8 +16,10 @@ from kapparec.epsilonlab import (
 )
 from kapparec.kappapoly import MixedPoly, k_polys
 from kapparec.parampoly import ParamPoly
-from kapparec.rationals import bernoulli, fact
+from kapparec.rationals import fact
 from kapparec.toprec import Correlator
+
+from conftest import bernoulli
 
 
 def test_levels_enumeration():

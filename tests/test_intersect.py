@@ -8,7 +8,8 @@ import pytest
 
 from kapparec.intersect import Cache, IntersectionOracle, _key_str
 from kapparec.kappapoly import MixedPoly, j_polys, k_polys
-from kapparec.rationals import bernoulli
+
+from conftest import bernoulli
 
 
 def test_kw_goldens(oracle):

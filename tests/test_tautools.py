@@ -16,6 +16,12 @@ from kapparec.tautools import (
     virk_rows,
 )
 
+# determined rows of the m-th constraint on a budget-8 table (KW Virasoro
+# m = -1..4; the BGW virK rows for m >= 0 are the same rows)
+ROWS_AT_8 = {-1: 841, 0: 608, 1: 433, 2: 299, 3: 203, 4: 135}
+KDV_ROWS_AT_8 = 488
+
+
 @pytest.fixture(scope="module")
 def kw_pot(oracle):
     return Potential.kw_from_oracle(oracle, 8)
@@ -32,9 +38,9 @@ def k_pot(k_engine):
 
 
 def test_kw_virasoro_all_m(kw_pot):
-    for m in range(-1, 5):
+    for m, want in ROWS_AT_8.items():
         rows, bad = virasoro_rows(kw_pot, m, htilde_unshifted())
-        assert rows > 50
+        assert rows == want, m
         assert not bad, (m, list(bad)[:3])
 
 
@@ -48,7 +54,7 @@ def test_perturbation_is_detected(kw_pot):
 
 def test_kw_kdv(kw_pot):
     rows, bad = kdv_residual(kw_pot)
-    assert rows > 100 and not bad
+    assert rows == KDV_ROWS_AT_8 and not bad
 
 
 def test_kw_initial_condition(kw_pot):
@@ -101,9 +107,9 @@ def test_bgw_three_routes_agree(bgw_pot, bgw_engine, k_engine):
 def test_bgw_virasoro_and_kdv(bgw_pot):
     for m in range(0, 5):
         rows, bad = virk_rows(bgw_pot, m, with_eps=False)
-        assert rows and not bad
+        assert rows == ROWS_AT_8[m] and not bad, m
     rows, bad = kdv_residual(bgw_pot)
-    assert rows > 100 and not bad
+    assert rows == KDV_ROWS_AT_8 and not bad
 
 
 def test_k_family_virk_and_kdv(k_pot):
@@ -112,6 +118,18 @@ def test_k_family_virk_and_kdv(k_pot):
         assert rows and not bad, (m, list(bad)[:2])
     rows, bad = kdv_residual(k_pot)
     assert rows and not bad
+
+
+def test_virk_perturbation_is_detected(bgw_pot, k_pot):
+    # eps = 0: the m = 1 row at (2, ()) reads 3 * [hbar^2 t_1] F
+    _, bad = virk_rows(bgw_pot.perturbed(2, (1,)), 1, with_eps=False)
+    assert (2, ()) in bad
+    # eps-deformed: the m = 1 row at (1, ()) reads 3 * [hbar t_1] F
+    _, bad = virk_rows(k_pot.perturbed(1, (1,)), 1, with_eps=True)
+    assert (1, ()) in bad
+    # the eps term is live: the K potential fails the eps = 0 constraints
+    _, bad = virk_rows(k_pot, 1, with_eps=False)
+    assert bad
 
 
 def test_weak_family_constraints(weak_k_engine, weak_j_engine):
