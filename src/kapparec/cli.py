@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -401,6 +402,8 @@ def cmd_cache(args) -> int:
     if args.action == "import":
         if not args.infile:
             raise UsageError("import needs --in")
+        if not os.path.exists(args.infile):
+            raise UsageError(f"refusing import: no such file {args.infile}")
         try:
             incoming = Cache(args.infile)
         except (ValueError, OSError, json.JSONDecodeError) as exc:

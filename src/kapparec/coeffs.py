@@ -97,17 +97,6 @@ def s_from_h(h: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(-logs.coeff(i).as_fraction() for i in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def s_from_h_formal(n: int) -> tuple[ParamPoly, ...]:
-    """s_1..s_n as exact polynomials in the formal parameters h_1..h_n."""
-    series = ZSeries(
-        {0: ParamPoly.one(), **{k: ParamPoly.h(k) for k in range(1, n + 1)}},
-        order=n + 1,
-    )
-    logs = series_log(series)
-    return tuple(-logs.coeff(i) for i in range(1, n + 1))
-
-
 def h_star(style: str, k: int) -> Fraction:
     """The h-coordinates of the two distinguished specializations.
 

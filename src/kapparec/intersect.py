@@ -8,17 +8,24 @@ quadratic term the genus of each factor is fixed by the dimension
 constraint, so each split of the remaining points is evaluated once.  The
 base cases are <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.
 
-Kappa insertions are reduced through the time-shift formalism: the class
-exp(sum s_i kappa_i) paired with psi^k expands into psi-only numbers with
-extra points,
+Kappa insertions are reduced by the set-partition formula of
+Arbarello-Cornalba and Kaufmann-Manin-Zagier, which inverts the push-forward
+of psi classes along the maps forgetting points:
+
+    < prod tau_{d_i} kappa_{b_1} ... kappa_{b_m} >_g
+        = sum_{set partitions P of [m]} (-1)^{m - |P|}
+          < prod tau_{d_i} prod_{B in P} tau_{b_B + 1} >_g,   b_B = sum_{j in B} b_j.
+
+The exponential class exp(sum s_i kappa_i), with its shift coordinates
+h_i given numerically, is paired with psi^k through the time-shift
+expansion (kclass_psi)
 
     I(h) = sum_{partitions b of W} (-1)^{len(b)} / prod(mult!)
            * prod h_{b_i} * < tau_k, tau_{b_1+1}, ..., tau_{b_m+1} >_g
 
-with W the complementary weight forced by the dimension, and single kappa
-monomials are extracted from I(h) by solving the triangular change of basis
-between h-monomials and s-monomials.  All values are cached, optionally on
-disk; results are pure functions of the key, so concurrent readers only need
+with W the complementary weight forced by the dimension; the two routes
+share only the psi numbers.  All values are cached, optionally on disk;
+results are pure functions of the key, so concurrent readers only need
 writes to the cache serialized.
 """
 
@@ -31,7 +38,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .coeffs import s_from_h_formal
 from .kappapoly import (
     KappaPoly,
     MixedPoly,
@@ -41,9 +47,9 @@ from .kappapoly import (
     multiset_splits,
     partition_weight,
     partitions,
+    set_partitions,
 )
-from .parampoly import ParamPoly, _trim
-from .rationals import fact, odd_df, rat_parse, rat_str
+from .rationals import odd_df, rat_parse, rat_str
 
 CACHE_VERSION = "kapparec-cache-v1"
 CACHE_ENV = "KAPPAREC_CACHE"
@@ -226,13 +232,15 @@ class IntersectionOracle:
             rhs += Fraction(1, 8)
         return rhs / odd_df(k1)
 
-    # -- kappa via the shift -------------------------------------------------
+    # -- kappa classes ---------------------------------------------------------
 
-    def kclass_psi(self, g: int, psis: Sequence[int], hvals: Mapping[int, Fraction | ParamPoly]):
-        """Integral of exp(sum s_i(h) kappa_i) * prod psi^k against given h-values.
+    def kclass_psi(self, g: int, psis: Sequence[int], hvals: Mapping[int, Fraction]) -> Fraction:
+        """Integral of exp(sum s_i(h) kappa_i) * prod psi^k at the given
+        h-values; only the dimension-forced weight contributes.
 
-        The h-values may be Fractions or ParamPolys (formal parameters ride
-        along).  Only the dimension-forced weight contributes.
+        The h-values are numbers.  Ring elements that multiply and add with
+        Fractions from either side pass through unchanged (the weak-curve
+        checks give eps-polynomials), but no formal h is solved for.
         """
         psis = tuple(sorted(psis))
         n = len(psis)
@@ -241,27 +249,15 @@ class IntersectionOracle:
             return Zero
         if w == 0:
             return self.kw_number(g, psis)
-        symbolic = any(isinstance(hvals.get(i), ParamPoly) for i in range(1, w + 1))
-        total: Fraction | ParamPoly = ParamPoly.zero() if symbolic else Zero
+        total = Zero
         for b in partitions(w):
-            extra = tuple(x + 1 for x in b)
-            base = self.kw_number(g, psis + extra)
-            if not base:
-                continue
-            term = base * Fraction((-1) ** len(b), aut(b))
-            for part in b:
-                hv = hvals.get(part, Zero)
-                if isinstance(hv, ParamPoly):
-                    term = hv * term
-                else:
-                    term = term * hv
-                if not term:
-                    break
-            if isinstance(term, ParamPoly) and not symbolic:
-                raise TypeError("mixed symbolic/numeric h-values")
+            term = self.kw_number(g, psis + tuple(x + 1 for x in b))
             if not term:
                 continue
-            total = term + total
+            term *= Fraction((-1) ** len(b), aut(b))
+            for part in b:
+                term *= hvals.get(part, Zero)
+            total += term
         return total
 
     def kappa_psi_number(self, g: int, n: int, psis: Sequence[int], lam: Sequence[int]) -> Fraction:
@@ -274,8 +270,7 @@ class IntersectionOracle:
             raise ValueError("unstable (g, n)")
         if not lam:
             return self.kw_number(g, psis)
-        w = partition_weight(lam)
-        if w + sum(psis) != 3 * g - 3 + n:
+        if partition_weight(lam) + sum(psis) != 3 * g - 3 + n:
             return Zero
         key = (g, psis, lam)
         hit = self._kpsi.get(key)
@@ -286,54 +281,14 @@ class IntersectionOracle:
             if c is not None:
                 self._kpsi[key] = c
                 return c
-        self._solve_kappa_family(g, psis, w)
-        return self._kpsi[key]
-
-    def _solve_kappa_family(self, g: int, psis: tuple[int, ...], w: int) -> None:
-        """Solve for all kappa-monomial integrals of weight w at once.
-
-        The shift gives the h-polynomial I(h); expanding exp(sum s_i kappa_i)
-        in h gives I(h) = sum_lam Q_lam(h) * I_lam with Q_lam = prod
-        s_i(h)^{a_i}/a_i!, a triangular linear system over the h-monomials of
-        weight w.
-        """
-        lams = partitions(w)
-        basis = {lam: i for i, lam in enumerate(lams)}
-        s_formal = s_from_h_formal(w)
-        svals = {i + 1: s_formal[i] for i in range(w)}
-        # I(h) from the shift expansion
-        ih = self.kclass_psi(g, psis, {i: ParamPoly.h(i) for i in range(1, w + 1)})
-        if not isinstance(ih, ParamPoly):
-            ih = ParamPoly.const(ih)
-        # matrix rows indexed by h-monomials (also partitions of w)
-        m = len(lams)
-        mat = [[Zero] * m for _ in range(m)]
-        rhs = [Zero] * m
-        hkey = {}
-        for i, mu in enumerate(lams):
-            mm = multiplicities(mu)
-            hexp = [0] * w
-            for v, e in mm.items():
-                hexp[v - 1] = e
-            hkey[(0, _trim(tuple(hexp)))] = i
-        for kterm, c in ih.terms.items():
-            if kterm not in hkey:
-                raise AssertionError(f"unexpected monomial in shift expansion: {kterm}")
-            rhs[hkey[kterm]] = c
-        for j, lam in enumerate(lams):
-            q = ParamPoly.one()
-            for v, e in multiplicities(lam).items():
-                q = q * svals[v] ** e * Fraction(1, fact(e))
-            for kterm, c in q.terms.items():
-                row = hkey.get(kterm)
-                if row is None:
-                    raise AssertionError("Q_lam monomial outside weight basis")
-                mat[row][j] += c
-        sol = _solve_exact(mat, rhs)
-        for lam, x in zip(lams, sol):
-            self._kpsi[(g, psis, lam)] = x
-            if self.cache is not None:
-                self.cache.put(g, psis, lam, x)
+        val = Zero
+        for blocks in set_partitions(lam):
+            merged = tuple(sum(block) + 1 for block in blocks)
+            val += (-1) ** (len(lam) - len(blocks)) * self.kw_number(g, psis + merged)
+        self._kpsi[key] = val
+        if self.cache is not None:
+            self.cache.put(g, psis, lam, val)
+        return val
 
     # -- linear extension ------------------------------------------------------
 
@@ -361,20 +316,3 @@ class IntersectionOracle:
 # the DVV recursion splits the same few multisets many times over
 _multiset_splits = lru_cache(maxsize=None)(multiset_splits)
 
-
-def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fractions; raises on a singular system."""
-    m = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular system in kappa-basis solve")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coeffs import ell_from_ab
 from .parampoly import ParamPoly, add_terms, mul_terms
@@ -77,6 +77,19 @@ def multiset_splits(mu: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int,
             for take in range(m + 1)
         ]
     return out
+
+
+def set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
+    """Every set partition of the labeled slots of items, as its list of
+    blocks; equal items in different slots count as different elements."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for blocks in set_partitions(items[1:]):
+        yield [(first,), *blocks]
+        for i, block in enumerate(blocks):
+            yield [*blocks[:i], (first, *block), *blocks[i + 1 :]]
 
 
 def _canon(p: Iterable[int]) -> Partition:

@@ -120,6 +120,14 @@ def test_cache_commands(capsys, tmp_path):
     assert code == 2
 
 
+def test_cache_import_of_a_missing_file_is_usage_error(capsys, tmp_path):
+    cpath = tmp_path / "cache.json"
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, ["cache", "--action", "import", "--in", str(missing), "--cache", str(cpath)])
+    assert code == 2 and out == "" and str(missing) in err
+    assert not cpath.exists()
+
+
 def test_env_var_cache(capsys, tmp_path, monkeypatch):
     cpath = tmp_path / "envcache.json"
     monkeypatch.setenv("KAPPAREC_CACHE", str(cpath))

@@ -13,11 +13,9 @@ from kapparec.coeffs import (
     h_star,
     p_sequence,
     s_from_h,
-    s_from_h_formal,
     s_sequence,
     sigma_sequence,
 )
-from kapparec.parampoly import ParamPoly
 from kapparec.rationals import fact, odd_df
 from kapparec.zseries import ZSeries, series_exp
 
@@ -82,17 +80,6 @@ def test_h_s_roundtrip_random():
         assert list(s_from_h(h_from_s(s))) == s
         h = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
         assert list(h_from_s(s_from_h(h))) == h
-
-
-def test_s_from_h_formal_matches_numeric():
-    formal = s_from_h_formal(4)
-    rng = random.Random(1)
-    for _ in range(5):
-        h = {i: F(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(1, 5)}
-        nums = s_from_h([h[i] for i in range(1, 5)])
-        for i in range(1, 5):
-            assert formal[i - 1].subs_h(h).as_fraction() == nums[i - 1]
-    assert formal[0] == -ParamPoly.h(1)
 
 
 def test_bad_input():

@@ -176,6 +176,42 @@ def test_zseries_product_truncation_rule():
     assert b.mul(a).order == 6
 
 
+def _truncations(rng: random.Random, low: int, n: int, k: int, lead=None) -> tuple[ZSeries, ZSeries]:
+    """One random series from z^low on, truncated at order n and at n + k."""
+    cs = {j: F(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(low, n + k)}
+    if lead is not None:
+        cs[low] = lead
+    return ZSeries({j: c for j, c in cs.items() if j < n}, order=n), ZSeries(cs, order=n + k)
+
+
+def _agrees_below_order(short: ZSeries, long: ZSeries, order: int) -> None:
+    # the short result states exactly `order` and every coefficient it
+    # states is the one the longer computation finds; past it, reading raises
+    assert short.order == order and long.order > order
+    for j in range(-12, order):
+        assert short.coeff(j) == long.coeff(j), j
+    for j in (order, order + 1):
+        with pytest.raises(TruncationError):
+            short.coeff(j)
+
+
+def test_truncation_order_is_provable_random():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        b1, b2 = rng.randint(-3, 2), rng.randint(-3, 2)
+        n1, n2 = b1 + rng.randint(1, 6), b2 + rng.randint(1, 6)
+        a, a_long = _truncations(rng, b1, n1, k, lead=F(rng.choice((-2, -1, 1, 3))))
+        b, b_long = _truncations(rng, b2, n2, k, lead=F(rng.choice((-1, 1, 2))))
+        _agrees_below_order(a.mul(b), a_long.mul(b_long), min(n1 + b2, n2 + b1))
+        _agrees_below_order(series_invert(a), series_invert(a_long), n1 - 2 * b1)
+        n = rng.randint(2, 7)
+        u, u_long = _truncations(rng, 1, n, k)
+        _agrees_below_order(series_exp(u), series_exp(u_long), n)
+        v, v_long = _truncations(rng, 0, n, k, lead=F(1))
+        _agrees_below_order(series_log(v), series_log(v_long), n)
+
+
 def test_series_invert_geometric():
     s = ZSeries({0: 1, 1: 1}, order=8)
     inv = series_invert(s)

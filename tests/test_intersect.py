@@ -77,6 +77,11 @@ def test_kappa_psi_basics(oracle):
     assert oracle.kappa_psi_number(1, 1, (0,), (1,)) == F(1, 24)
     assert oracle.kappa_psi_number(0, 3, (0, 0, 0), ()) == 1
     assert oracle.kappa_psi_number(0, 4, (0, 0, 0, 0), (1,)) == 1
+    # Zograf's Weil-Petersson volumes: int_{M_{0,n}} kappa_1^{n-3}
+    for n, want in ((4, 1), (5, 5), (6, 61), (7, 1379), (8, 49946)):
+        assert oracle.kappa_psi_number(0, n, (0,) * n, (1,) * (n - 3)) == want, n
+    assert oracle.kappa_psi_number(1, 2, (0, 0), (1, 1)) == F(1, 8)
+    assert oracle.kappa_psi_number(2, 0, (), (1, 1, 1)) == F(43, 2880)
     # off-dimension input is zero
     assert oracle.kappa_psi_number(1, 1, (0,), (1, 1)) == 0
     with pytest.raises(ValueError):
@@ -134,7 +139,7 @@ def test_j_top_psi_pairing_bernoulli(oracle):
 
 def test_kclass_matches_family_polynomial_pairing(oracle):
     # the shift expansion of the exponential class must equal the pairing of
-    # its dimension-forced graded piece, computed through the monomial solver
+    # its dimension-forced graded piece, integrated monomial by monomial
     from kapparec.coeffs import h_star
     from kapparec.kappapoly import MixedPoly
 
@@ -181,10 +186,39 @@ def test_cache_version_and_collision(tmp_path):
     assert _key_str(1, (0,), (1,)) == "1;0;1"
 
 
-def test_kclass_psi_symbolic_matches_numeric(oracle):
-    from kapparec.parampoly import ParamPoly
+def test_kclass_psi_numeric(oracle):
+    # int_{M_{1,1}} exp(s_1 kappa_1) with h_1 = -3, so s_1 = 3: 3 * 1/24
+    assert oracle.kclass_psi(1, (0,), {1: F(-3)}) == F(1, 8)
 
-    sym = oracle.kclass_psi(1, (0,), {1: ParamPoly.h(1)})
-    assert sym == ParamPoly.h(1, coeff=F(-1, 24))
-    num = oracle.kclass_psi(1, (0,), {1: F(-3)})
-    assert num == F(1, 8)
+
+def test_shift_route_equals_set_partition_route():
+    # exp(sum s_i kappa_i) = sum_lam Q_lam kappa_lam with
+    # Q_lam = prod_v s_v^{a_v} / a_v!, so for numeric h the shift expansion
+    # (kclass_psi) equals the kappa monomials (kappa_psi_number) weighted
+    # by Q_lam(s(h)); the two routes share only the psi numbers
+    from kapparec.coeffs import s_from_h
+    from kapparec.kappapoly import multiplicities, partitions
+    from kapparec.rationals import fact
+
+    o = IntersectionOracle()
+    rng = random.Random(6)
+    cases = 0
+    for g in range(4):
+        for n in range(8):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0 or not 0 < dim <= 7:
+                continue
+            for psis in _psi_monomials(n, rng.randint(0, dim - 1)):
+                w = dim - sum(psis)
+                h = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(w)]
+                s = s_from_h(h)
+                want = F(0)
+                for lam in partitions(w):
+                    q = F(1)
+                    for v, a in multiplicities(lam).items():
+                        q *= s[v - 1] ** a / fact(a)
+                    want += q * o.kappa_psi_number(g, n, psis, lam)
+                got = o.kclass_psi(g, psis, {i + 1: h[i] for i in range(w)})
+                assert got == want, (g, psis, h)
+                cases += 1
+    assert cases == 33
