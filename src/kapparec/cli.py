@@ -3,6 +3,12 @@
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 infeasible budget.  All emitted artifacts are byte-deterministic for a given
 invocation (sorted keys, canonical "p/q" strings).
+
+A verify suite is a generator ``suite(args, budget, oracle)`` of
+``(row, passed, checks)``: the report line, whether its check held, and how
+many checks it ran.  ``cmd_verify`` alone turns the rows into a verdict: it
+computes the effective budget, notes a capped one, settles the cache, and
+reports PASS, FAIL, or "nothing checked" when the checks sum to zero.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .epsilonlab import check_regularity, verify_vanishing
+from .epsilonlab import admissible, check_regularity, verify_vanishing
 from .hurwitz import BudgetError, hurwitz_three_ways
 from .intersect import Cache, IntersectionOracle, default_cache_path, parse_key
 from .kappapoly import j_polys, k_polys, p_polys, partitions
@@ -56,28 +62,30 @@ def _open_cache(path: str) -> Cache:
 
 
 def _oracle(args) -> IntersectionOracle:
-    """The oracle on the --cache file; kept on args for the caller to save."""
+    """The oracle on the --cache file, or on $KAPPAREC_CACHE."""
     path = args.cache or default_cache_path()
-    args.oracle = IntersectionOracle(_open_cache(path) if path else None)
-    return args.oracle
+    return IntersectionOracle(_open_cache(path) if path else None)
 
 
-def _save_cache(oracle: IntersectionOracle | None) -> None:
-    cache = oracle and oracle.cache
-    if cache is not None and cache.path and cache.dirty:
-        cache.save()
+def _settle_cache(oracle: IntersectionOracle | None, ok: bool) -> bool:
+    """Save the oracle's cache file after a run, unless a failure is its fault.
 
-
-def _blame_cache(oracle: IntersectionOracle | None) -> bool:
-    """After a failed check: name on stderr each entry of the cache file the
-    oracle read that a cacheless oracle does not reproduce; True if any."""
+    After a failed check, each entry of the file the oracle read that a
+    cacheless oracle does not reproduce is named on stderr; if there is one,
+    the file is left unchanged and True is returned.
+    """
     cache = oracle and oracle.cache
     if cache is None:
         return False
-    bad = _bad_entries(_open_cache(cache.path))
-    for key, what in bad.items():
-        print(f"bad cache entry {key}: {what}", file=sys.stderr)
-    return bool(bad)
+    if not ok:
+        bad = _bad_entries(_open_cache(cache.path))
+        for key, what in bad.items():
+            print(f"bad cache entry {key}: {what}", file=sys.stderr)
+        if bad:
+            return True
+    if cache.dirty:
+        cache.save()
+    return False
 
 
 def _check_family(family: str, allowed) -> None:
@@ -125,6 +133,8 @@ def cmd_correlators(args) -> int:
         raise UsageError("need a stable (g, n) with n >= 1")
     if 2 * g - 2 + n > args.epsilon_budget:
         raise UsageError(f"(g, n) level {2*g-2+n} above --epsilon-budget {args.epsilon_budget}")
+    if g < 0:
+        raise UsageError("--g must be non-negative")
     _emit(args, _engine(args.family, g, n).correlator(g, n).to_json())
     return 0
 
@@ -138,7 +148,7 @@ def cmd_potentials(args) -> int:
     if args.family == "bgw":
         pot = bgw_bootstrap(budget)
     else:
-        pot = Potential.from_engine(_engine(args.family, *_top(budget)), budget, args.family)
+        pot = Potential.from_engine(_engine(args.family, *_top(budget)), budget)
     payload = {
         "family": args.family,
         "budget": budget,
@@ -153,132 +163,66 @@ def cmd_potentials(args) -> int:
     return 0
 
 
-def _budget(args, report: dict, offset: int = 0, cap: int | None = None) -> int:
-    """The suite's effective budget: the request plus offset, at most cap.
-
-    It is stored in the report; a clamped request is noted on stderr, so the
-    pretty report on stdout stays the same.
-    """
-    want = args.epsilon_budget + offset
-    budget = want if cap is None else min(want, cap)
-    report["effective_budget"] = budget
-    if budget < want and args.format == "pretty":
-        print(
-            f"note: suite {args.suite} uses budget {budget} (requested {args.epsilon_budget})",
-            file=sys.stderr,
-        )
-    return budget
-
-
-def _suite_regularity(args, report: dict) -> bool:
-    if args.family:
-        _check_family(args.family, FAMILIES)
-    budget = _budget(args, report)
-    ok = True
-    rows = []
+def _suite_regularity(args, budget, oracle):
     for fam in [args.family] if args.family else ["k", "j", "weak-k", "weak-j"]:
         for rep in check_regularity(_engine(fam, *_top(budget)), budget):
-            rows.append(rep.row())
+            yield rep.row(), rep.passed, rep.entries
             if not rep.passed:
-                ok = False
                 # theorem for the K family, conjectural finding otherwise
-                rows.append(f"  ^ FAIL ({'build error' if fam == 'k' else 'finding'})")
-    report["rows"] = rows
-    return ok
+                yield f"  ^ FAIL ({'build error' if fam == 'k' else 'finding'})", False, 0
 
 
-def _suite_conjecture(args, report: dict) -> bool:
-    oracle = _oracle(args)
-    ok = True
-    rows = []
-    dim_max = _budget(args, report, 2, 7)
+def _suite_conjecture(args, budget, oracle):
     for g in range(0, 4):
-        for n in range(0, dim_max + 4):
+        for n in range(0, budget + 4):
             dim = 3 * g - 3 + n
-            if dim < 0 or dim > dim_max or 2 * g - 2 + n <= 0:
+            if dim < 0 or dim > budget or 2 * g - 2 + n <= 0:
                 continue
             for m in range(1, dim + 1):
                 for style in ("k", "j"):
-                    kadm = style == "k" and m > 2 * g - 2 + n and not (n == 0 and m == 3 * g - 3)
-                    jadm = style == "j" and (
-                        m > 2 * g - 2 + n or (m == 2 * g - 2 + n and n > 1)
-                    )
-                    if not (kadm or jadm):
+                    if not admissible(style, g, n, m):
                         continue
                     good = verify_vanishing(oracle, g, n, m, style)
-                    rows.append(f"{style.upper()}_{m} on (g,n)=({g},{n}): {'PASS' if good else 'FAIL'}")
-                    ok = ok and good
-    report["rows"] = rows
-    return ok
+                    yield f"{style.upper()}_{m} on (g,n)=({g},{n}): {'PASS' if good else 'FAIL'}", good, 1
 
 
-def _suite_virasoro(args, report: dict) -> bool:
-    oracle = _oracle(args)
-    rows = []
-    ok = True
-    checked = 0
-    budget = _budget(args, report, 1, 6)
+def _suite_virasoro(args, budget, oracle):
     fkw = Potential.kw_from_oracle(oracle, budget + 2)
     for m in range(-1, 4):
         n, bad = virasoro_rows(fkw, m, htilde_unshifted())
-        rows.append(f"KW m={m}: rows={n} nonzero={len(bad)}")
-        ok = ok and not bad
-        checked += n
+        yield f"KW m={m}: rows={n} nonzero={len(bad)}", not bad, n
     fb = bgw_bootstrap(budget + 2)
     for m in range(0, 4):
         n, bad = virk_rows(fb, m, with_eps=False)
-        rows.append(f"BGW m={m}: rows={n} nonzero={len(bad)}")
-        ok = ok and not bad
-        checked += n
-    fk = Potential.from_engine(_engine("k", *_top(budget)), budget, "k")
+        yield f"BGW m={m}: rows={n} nonzero={len(bad)}", not bad, n
+    fk = Potential.from_engine(_engine("k", *_top(budget)), budget)
     for m in range(0, 4):
         n, bad = virk_rows(fk, m, with_eps=True)
-        rows.append(f"K(eps) m={m}: rows={n} nonzero={len(bad)}")
-        ok = ok and not bad
-        checked += n
-    # a budget whose rows all evaluate nothing checked nothing
-    report["rows"] = rows if checked else []
-    return ok
+        yield f"K(eps) m={m}: rows={n} nonzero={len(bad)}", not bad, n
 
 
-def _suite_kdv(args, report: dict) -> bool:
-    oracle = _oracle(args)
-    rows = []
-    ok = True
-    checked = 0
-    budget = _budget(args, report, 3, 8)
+def _suite_kdv(args, budget, oracle):
     for label, pot in (
         ("KW", Potential.kw_from_oracle(oracle, budget)),
         ("BGW", bgw_bootstrap(budget)),
     ):
         n, bad = kdv_residual(pot)
-        rows.append(f"{label}: rows={n} nonzero={len(bad)}")
-        ok = ok and not bad
-        checked += n
-    report["rows"] = rows if checked else []
-    return ok
+        yield f"{label}: rows={n} nonzero={len(bad)}", not bad, n
 
 
-def _suite_bgw(args, report: dict) -> bool:
-    rows = []
-    budget = _budget(args, report, 0, 5)
+def _suite_bgw(args, budget, oracle):
     # the displayed log Z goldens reach hbar^2, i.e. level 6; the bootstrap is cheap
     fb = bgw_bootstrap(max(budget, 6))
-    direct = Potential.from_engine(_engine("bgw", *_top(budget)), budget, "bgw")
-    fk = Potential.from_engine(_engine("k", *_top(budget)), budget, "k")
-    ok = True
+    direct = Potential.from_engine(_engine("bgw", *_top(budget)), budget)
+    fk = Potential.from_engine(_engine("k", *_top(budget)), budget)
     for (g, mono), c in direct.items():
         if fb.coeff(g, mono) != c:
-            ok = False
-            rows.append(f"direct != bootstrap at {(g, mono)}")
+            yield f"direct != bootstrap at {(g, mono)}", False, 1
     for (g, mono), c in fk.items():
-        v = c.eps_valuation()
-        if v < 0:
-            ok = False
-            rows.append(f"K-family potential irregular at {(g, mono)}")
+        if c.eps_valuation() < 0:
+            yield f"K-family potential irregular at {(g, mono)}", False, 1
         if c.eps_part(0) != fb.coeff(g, mono):
-            ok = False
-            rows.append(f"eps->0 limit != bootstrap at {(g, mono)}")
+            yield f"eps->0 limit != bootstrap at {(g, mono)}", False, 1
     goldens = {
         (1, (0,)): Fraction(1, 8),
         (1, (0, 0)): Fraction(1, 16),
@@ -290,64 +234,68 @@ def _suite_bgw(args, report: dict) -> bool:
     }
     for key, val in goldens.items():
         got = fb.coeff(*key).as_fraction()
-        rows.append(f"logZ[{key}] = {rat_str(got)} (want {rat_str(val)})")
-        ok = ok and got == val
-    report["rows"] = rows
-    return ok
+        yield f"logZ[{key}] = {rat_str(got)} (want {rat_str(val)})", got == val, 1
 
 
-def _suite_hurwitz(args, report: dict) -> bool:
-    oracle = _oracle(args)
-    rows = []
-    ok = True
-    d_max = _budget(args, report, 0, 4)
+def _suite_hurwitz(args, budget, oracle):
     g_max = 2
-    eng = _engine("kstar", g_max, d_max)
-    for d in range(1, d_max + 1):
+    eng = _engine("kstar", g_max, budget)
+    for d in range(1, budget + 1):
         for part in partitions(d):
             for g in range(0, g_max + 1):
                 if 2 * g - 2 + len(part) <= 0:
                     continue
                 r = hurwitz_three_ways(oracle, eng, g, part)
-                vals = {v for v in r.values() if v is not None}
-                good = len(vals) == 1
-                ok = ok and good
+                good = len({v for v in r.values() if v is not None}) == 1
                 routes = {k: (rat_str(v) if v is not None else "skipped") for k, v in r.items()}
-                rows.append(f"g={g} mu={part}: {routes} {'PASS' if good else 'FAIL'}")
-    report["rows"] = rows
-    return ok
+                yield f"g={g} mu={part}: {routes} {'PASS' if good else 'FAIL'}", good, 1
 
 
+# suite -> (rows generator, budget offset, budget cap, reads the oracle)
 _SUITES = {
-    "regularity": _suite_regularity,
-    "conjecture": _suite_conjecture,
-    "virasoro": _suite_virasoro,
-    "kdv": _suite_kdv,
-    "bgw": _suite_bgw,
-    "hurwitz": _suite_hurwitz,
+    "regularity": (_suite_regularity, 0, None, False),
+    "conjecture": (_suite_conjecture, 2, 7, True),
+    "virasoro": (_suite_virasoro, 1, 6, True),
+    "kdv": (_suite_kdv, 3, 8, True),
+    "bgw": (_suite_bgw, 0, 5, False),
+    "hurwitz": (_suite_hurwitz, 0, 4, True),
 }
 
 
 def cmd_verify(args) -> int:
-    suite = _SUITES.get(args.suite)
-    if suite is None:
+    if args.suite not in _SUITES:
         raise UsageError(f"--suite must be one of {sorted(_SUITES)}")
-    report: dict = {"suite": args.suite}
-    args.oracle = None
+    if args.family:
+        if args.suite != "regularity":
+            raise UsageError("--family applies only to --suite regularity")
+        _check_family(args.family, FAMILIES)
+    suite, offset, cap, reads_oracle = _SUITES[args.suite]
+    want = args.epsilon_budget + offset
+    budget = want if cap is None else min(want, cap)
+    oracle = _oracle(args) if reads_oracle else None
+    rows, ok, checks = [], True, 0
     try:
-        ok = suite(args, report)
+        for row, passed, n in suite(args, budget, oracle):
+            rows.append(row)
+            ok = ok and passed
+            checks += n
     except (BudgetError, InsufficientOrderError) as exc:
         raise UsageError(f"infeasible budget: {exc}") from exc
-    if not ok and _blame_cache(args.oracle):
+    # a clamped request goes to stderr, so the pretty report stays the same
+    if budget < want and args.format == "pretty":
+        print(
+            f"note: suite {args.suite} uses budget {budget} (requested {args.epsilon_budget})",
+            file=sys.stderr,
+        )
+    if _settle_cache(oracle, ok):
         return USAGE_ERROR
-    _save_cache(args.oracle)
-    if not report["rows"]:
+    if not checks:
         raise UsageError(f"nothing checked: suite {args.suite} produced no rows")
-    report["status"] = "PASS" if ok else "FAIL"
+    status = "PASS" if ok else "FAIL"
     if args.format == "json":
-        _emit(args, report)
+        _emit(args, {"suite": args.suite, "effective_budget": budget, "rows": rows, "status": status})
     else:
-        _emit(args, "\n".join(report["rows"] + [f"status: {report['status']}"]))
+        _emit(args, "\n".join(rows + [f"status: {status}"]))
     return 0 if ok else CHECK_FAILED
 
 
@@ -361,15 +309,16 @@ def cmd_hurwitz(args) -> int:
     g = args.g
     if 2 * g - 2 + len(part) <= 0:
         raise UsageError("outside stable range")
+    if g < 0:
+        raise UsageError("--g must be non-negative")
     oracle = _oracle(args)
     try:
         r = hurwitz_three_ways(oracle, _engine("kstar", g, len(part)), g, part)
     except BudgetError as exc:
         raise UsageError(f"infeasible: {exc}") from exc
     vals = {v for v in r.values() if v is not None}
-    if len(vals) != 1 and _blame_cache(oracle):
+    if _settle_cache(oracle, len(vals) == 1):
         return USAGE_ERROR
-    _save_cache(oracle)
     payload = {
         "g": g,
         "partition": list(part),
@@ -485,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, help="|".join(sorted(_SUITES)))
     sp.add_argument("--family", default=None)
     sp.add_argument("--epsilon-budget", type=int, default=5)
-    sp.add_argument("--t-max", type=int, default=6)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -106,24 +106,28 @@ def complementary_monomials(g: int, n: int, degree: int):
                     yield psis, lam
 
 
+def admissible(style: str, g: int, n: int, m: int) -> bool:
+    """Whether the conjecture claims the degree-m polynomial vanishes on (g, n).
+
+    K style: m > 2g-2+n, except (m, n) = (3g-3, 0).  J style: m > 2g-2+n, and
+    also m = 2g-2+n when n > 1.
+    """
+    if style == "k":
+        return m > 2 * g - 2 + n and not (n == 0 and m == 3 * g - 3)
+    if style == "j":
+        return m > 2 * g - 2 + n or (m == 2 * g - 2 + n and n > 1)
+    raise ValueError("style must be 'k' or 'j'")
+
+
 def verify_vanishing(oracle: IntersectionOracle, g: int, n: int, m: int, style: str) -> bool:
     """Weak vanishing of the degree-m family polynomial on (g, n).
 
     Pairs the polynomial against every psi-kappa monomial of complementary
-    degree; admissible ranges are m > 2g-2+n for the K style (excluding the
-    (m, n) = (3g-3, 0) exception) and additionally m = 2g-2+n with n > 1 for
-    the J style.
+    degree; (g, n, m) must be admissible for the style.
     """
-    if style == "k":
-        if not (m > 2 * g - 2 + n) or (n == 0 and m == 3 * g - 3):
-            raise ValueError("inadmissible (g, n, m) for the K-style claim")
-        fam = k_polys(m)[m]
-    elif style == "j":
-        if not (m > 2 * g - 2 + n or (m == 2 * g - 2 + n and n > 1)):
-            raise ValueError("inadmissible (g, n, m) for the J-style claim")
-        fam = j_polys(m)[m]
-    else:
-        raise ValueError("style must be 'k' or 'j'")
+    if not admissible(style, g, n, m):
+        raise ValueError(f"inadmissible (g, n, m) for the {style.upper()}-style claim")
+    fam = (k_polys if style == "k" else j_polys)(m)[m]
     dim = 3 * g - 3 + n
     if m > dim:
         return True

@@ -228,9 +228,6 @@ class ParamPoly:
         """Coefficient of eps^power, as a polynomial in h alone."""
         return ParamPoly({(0, h): c for (e, h), c in self.terms.items() if e == power})
 
-    def max_h_weight(self) -> int:
-        return max((_hweight(h) for _, h in self.terms), default=0)
-
     def subs_eps(self, value: Scalar) -> "ParamPoly":
         """Substitute a rational value for eps (exact; negative powers allowed)."""
         v = Fraction(value)
@@ -297,4 +294,3 @@ def _coerce(x: "ParamPoly | Scalar") -> ParamPoly:
 
 
 PP_ZERO = ParamPoly()
-PP_ONE = ParamPoly.one()

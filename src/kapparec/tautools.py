@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .coeffs import htilde_weak  # noqa: F401  (the shift sequence, re-exported)
 from .intersect import IntersectionOracle
 from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, add_terms, mul_terms
@@ -24,10 +23,9 @@ Entry = tuple[int, Mono]
 
 
 class Potential:
-    def __init__(self, coeffs: dict[Entry, ParamPoly], budget: int, label: str = ""):
+    def __init__(self, coeffs: dict[Entry, ParamPoly], budget: int):
         self.coeffs = {k: v for k, v in coeffs.items() if v}
         self.budget = budget
-        self.label = label
 
     def coeff(self, g: int, mono: Mono) -> ParamPoly:
         return self.coeffs.get((g, tuple(sorted(mono))), PP_ZERO)
@@ -39,15 +37,15 @@ class Potential:
         c = dict(self.coeffs)
         key = (g, tuple(sorted(mono)))
         c[key] = c.get(key, PP_ZERO) + ParamPoly.const(delta)
-        return Potential(c, self.budget, self.label + "+perturbation")
+        return Potential(c, self.budget)
 
     @staticmethod
-    def from_engine(engine: Engine, budget: int, label: str = "") -> "Potential":
+    def from_engine(engine: Engine, budget: int) -> "Potential":
         coeffs: dict[Entry, ParamPoly] = {}
         for g, n in levels(budget):
             for mono, c in correlators_to_potential(engine.correlator(g, n)).items():
                 coeffs[(g, mono)] = c
-        return Potential(coeffs, budget, label or engine.curve.family)
+        return Potential(coeffs, budget)
 
     @staticmethod
     def kw_from_oracle(oracle: IntersectionOracle, budget: int) -> "Potential":
@@ -60,7 +58,7 @@ class Potential:
                 if not v:
                     continue
                 coeffs[(g, mono)] = ParamPoly.const(v / aut(mono))
-        return Potential(coeffs, budget, "kw")
+        return Potential(coeffs, budget)
 
 
 # -- derivative / product coefficient extraction --------------------------------
@@ -221,7 +219,7 @@ def bgw_bootstrap(budget: int) -> Potential:
     (m, mu) is read off the constraint indexed by its largest exponent.
     """
     coeffs: dict[Entry, ParamPoly] = {}
-    F = Potential(coeffs, budget, "bgw-bootstrap")
+    F = Potential(coeffs, budget)
     empty: dict[int, Fraction] = {}
     for g, n in levels(budget):
         for key in _sorted_tuples(n, 3 * g - 3 + n):

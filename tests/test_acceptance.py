@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction as F
 
-from kapparec.coeffs import h_star
+from kapparec.coeffs import h_star, htilde_weak
 from kapparec.epsilonlab import (
     check_regularity,
     take_limit_one_point,
@@ -27,7 +27,6 @@ from kapparec.tautools import (
     Potential,
     bgw_bootstrap,
     htilde_unshifted,
-    htilde_weak,
     kdv_residual,
     virasoro_rows,
     virk_rows,
@@ -188,8 +187,8 @@ def test_criterion_06_bgw(bgw_engine, k_engine):
         (3, (1, 1)): F(63, 1024),
     }
     ok = all(boot.coeff(*k).as_fraction() == v for k, v in goldens.items())
-    direct = Potential.from_engine(bgw_engine, 5, "bgw")
-    limit = Potential.from_engine(k_engine, 5, "k")
+    direct = Potential.from_engine(bgw_engine, 5)
+    limit = Potential.from_engine(k_engine, 5)
     for (g, mono), c in direct.items():
         ok &= boot.coeff(g, mono) == c
     for (g, mono), c in boot.items():
@@ -331,7 +330,7 @@ def test_criterion_11_virasoro_and_kdv(oracle, k_engine, weak_k_engine, weak_j_e
         rows_total += rows
         ok &= not bad
     engk7 = Engine(build_curve("k", required_order(4, 1)))
-    fk = Potential.from_engine(engk7, 7, "k")
+    fk = Potential.from_engine(engk7, 7)
     for m in range(0, 5):
         rows, bad = virk_rows(fk, m, with_eps=True)
         rows_total += rows
@@ -342,7 +341,7 @@ def test_criterion_11_virasoro_and_kdv(oracle, k_engine, weak_k_engine, weak_j_e
         ok &= lhs == constraint_row(fb, m, 4, (), {})
         ok &= not constraint_row(fkw, m, 4, (), htilde_unshifted())
     for style, eng in (("k", weak_k_engine), ("j", weak_j_engine)):
-        fw = Potential.from_engine(eng, 5, f"weak-{style}")
+        fw = Potential.from_engine(eng, 5)
         ht = htilde_weak(style, eng.curve.n_h, 12)
         for m in range(-1, 4):
             rows, bad = virasoro_rows(fw, m, ht)

@@ -64,13 +64,17 @@ def test_deterministic_output(capsys, tmp_path):
 
 
 def test_verify_suites_pass(capsys):
-    for suite, budget in (("regularity", 3), ("bgw", 4), ("kdv", 3), ("virasoro", 3)):
+    for suite, budget, rows in (("regularity", 3, 28), ("bgw", 4, 7), ("kdv", 3, 2), ("virasoro", 3, 13)):
         code, out, _ = run(capsys, ["verify", "--suite", suite, "--epsilon-budget", str(budget)])
         assert code == 0, (suite, out)
-        assert "status: PASS" in out
+        lines = out.splitlines()
+        assert lines[-1] == "status: PASS" and len(lines) == rows + 1, (suite, out)
+        if suite == "kdv":
+            assert lines[:2] == ["KW: rows=132 nonzero=0", "BGW: rows=132 nonzero=0"]
     code, out, _ = run(capsys, ["verify", "--suite", "hurwitz", "--epsilon-budget", "3", "--format", "json"])
     assert code == 0
-    assert json.loads(out)["status"] == "PASS"
+    report = json.loads(out)
+    assert report["status"] == "PASS" and len(report["rows"]) == 13
 
 
 def test_verify_regularity_extended_budget(capsys):
@@ -96,11 +100,11 @@ def test_hurwitz_command(capsys):
 
 def test_cache_commands(capsys, tmp_path):
     cpath = tmp_path / "cache.json"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys,
         ["verify", "--suite", "conjecture", "--epsilon-budget", "2", "--cache", str(cpath)],
     )
-    assert code == 0
+    assert code == 0 and len(out.splitlines()) == 6 + 1
     code, out, _ = run(capsys, ["cache", "--action", "stats", "--cache", str(cpath), "--format", "json"])
     assert code == 0
     stats = json.loads(out)
@@ -157,6 +161,9 @@ def test_bad_arguments_are_usage_errors(capsys):
         (["kappa-polys", "--m-max", "-1"], "--m-max"),
         (["potentials", "--epsilon-budget", "-2"], "--epsilon-budget"),
         (["verify", "--suite", "regularity", "--family", "nope"], "--family"),
+        (["verify", "--suite", "conjecture", "--family", "j", "--epsilon-budget", "0"], "--family"),
+        (["correlators", "--g", "-1", "--n", "5"], "--g"),
+        (["hurwitz", "--g", "-1", "--partition", "1,1,1,1,1"], "--g"),
     ):
         code, out, err = run(capsys, args)
         assert code == 2 and out == "" and msg in err, args

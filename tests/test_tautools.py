@@ -4,13 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from kapparec.coeffs import h_star
+from kapparec.coeffs import h_star, htilde_weak
 from kapparec.tautools import (
     Potential,
     bgw_bootstrap,
     genus1_closed_form,
     htilde_unshifted,
-    htilde_weak,
     kdv_residual,
     virasoro_rows,
     virk_rows,
@@ -34,7 +33,7 @@ def bgw_pot():
 
 @pytest.fixture(scope="module")
 def k_pot(k_engine):
-    return Potential.from_engine(k_engine, 6, "k")
+    return Potential.from_engine(k_engine, 6)
 
 
 def test_kw_virasoro_all_m(kw_pot):
@@ -92,13 +91,13 @@ def fact_(n: int) -> int:
 
 
 def test_bgw_three_routes_agree(bgw_pot, bgw_engine, k_engine):
-    direct = Potential.from_engine(bgw_engine, 5, "bgw")
+    direct = Potential.from_engine(bgw_engine, 5)
     for (g, mono), c in direct.items():
         assert bgw_pot.coeff(g, mono) == c
     for (g, mono), c in bgw_pot.items():
         if 2 * g - 2 + len(mono) <= 5:
             assert direct.coeff(g, mono) == c
-    limit = Potential.from_engine(k_engine, 5, "k")
+    limit = Potential.from_engine(k_engine, 5)
     for (g, mono), c in limit.items():
         assert c.eps_valuation() >= 0
         assert c.eps_part(0) == bgw_pot.coeff(g, mono)
@@ -134,7 +133,7 @@ def test_virk_perturbation_is_detected(bgw_pot, k_pot):
 
 def test_weak_family_constraints(weak_k_engine, weak_j_engine):
     for style, eng in (("k", weak_k_engine), ("j", weak_j_engine)):
-        pot = Potential.from_engine(eng, 4, f"weak-{style}")
+        pot = Potential.from_engine(eng, 4)
         ht = htilde_weak(style, 7, 12)
         for m in range(-1, 3):
             rows, bad = virasoro_rows(pot, m, ht)
