@@ -281,10 +281,12 @@ class IntersectionOracle:
             if c is not None:
                 self._kpsi[key] = c
                 return c
-        val = Zero
+        # partitions with the same merged psi key share one kw_number call
+        signed: dict[tuple[int, ...], int] = {}
         for blocks in set_partitions(lam):
-            merged = tuple(sum(block) + 1 for block in blocks)
-            val += (-1) ** (len(lam) - len(blocks)) * self.kw_number(g, psis + merged)
+            merged = tuple(sorted(sum(block) + 1 for block in blocks))
+            signed[merged] = signed.get(merged, 0) + (-1) ** (len(lam) - len(blocks))
+        val = sum((c * self.kw_number(g, psis + merged) for merged, c in signed.items()), Zero)
         self._kpsi[key] = val
         if self.cache is not None:
             self.cache.put(g, psis, lam, val)

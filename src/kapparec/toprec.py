@@ -14,8 +14,15 @@ all ordered pair products; the unstable conventions are w_{0,1} = 0, the
 mixed w_{0,2}(z, z_j) expanding as (2k_j+1) z^{2k_j} dz, and the (0,2)
 diagonal replaced by dz^2/(4 z^2) (it only arises for (g,n) = (1,1)).
 
+Each sorted entry (k_1 <= ... <= k_n) is read off once, with k_n in the
+active slot: w_{g,n} is symmetric (Eynard-Orantin 2007, "Invariants of
+algebraic curves and topological expansion"), so the other slots would
+repeat it.  Engine.all_slots_agree rebuilds every entry from each of its
+slots and compares the copies exactly.
+
 Computed correlators are immutable and the per-engine table is append-only
-with deterministic, schedule-independent entries.
+with deterministic, schedule-independent entries; the slices built from it
+are memoized on the engine for the same reason.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .coeffs import htilde_weak
 from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, add_terms
 from .rationals import odd_df
-from .zseries import ZSeries, principal_part, series_invert
+from .zseries import ZSeries, series_invert
 
 FAMILIES = ("kw", "k", "j", "weak-k", "weak-j", "bgw", "kstar")
 
@@ -171,6 +178,9 @@ class Engine:
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
         self.table: dict[tuple[int, int], Correlator] = {}
+        # (g', alpha) -> slice; pure in the append-only table, so it lives
+        # exactly as long as the engine
+        self._slices: dict[tuple[int, tuple[int, ...]], ZSeries | None] = {}
 
     def correlator(self, g: int, n: int) -> Correlator:
         if n < 1 or g < 0 or 2 * g - 2 + n <= 0:
@@ -193,6 +203,12 @@ class Engine:
 
     def _slice_series(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | None:
         """w'-factor with active variable z and remaining slots frozen at alpha."""
+        key = (gp, alpha)
+        if key not in self._slices:
+            self._slices[key] = self._build_slice(gp, alpha)
+        return self._slices[key]
+
+    def _build_slice(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | None:
         if gp == 0 and len(alpha) == 0:
             return None  # w_{0,1} = 0
         if gp == 0 and len(alpha) == 1:
@@ -214,21 +230,20 @@ class Engine:
 
     def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> ZSeries:
         cap = self.curve.h_weight_cap
-        w = ZSeries.zero(order=None)
+        w: dict[int, ParamPoly] = {}
         # diagonal part w_{g-1, n+1}(z, z, rest)
         if g >= 1:
             if 2 * (g - 1) - 2 + (n + 1) > 0:
                 lower = self.correlator(g - 1, n + 1)
                 smax = 3 * (g - 1) - 3 + (n + 1) - sum(rest)
-                diag = (
+                add_terms(w, (
                     (-2 * (k + kp) - 4, v * Fraction((1 if k == kp else 2) * odd_df(k) * odd_df(kp)))
                     for k in range(smax + 1)
                     for kp in range(k, smax - k + 1)
                     if (v := lower.value((k, kp) + rest))
-                )
-                w = w + ZSeries(add_terms({}, diag), order=None, parity=0)
+                ))
             elif (g, n) == (1, 1):
-                w = w + ZSeries({-2: Fraction(1, 4)}, order=None, parity=0)
+                w[-2] = ParamPoly.const(Fraction(1, 4))
         # ordered pair products; w_{0,1} factors vanish and must be skipped
         # before any recursive lookup (they would otherwise self-recurse)
         splits = multiset_splits(rest)
@@ -243,46 +258,67 @@ class Engine:
                 s2 = self._slice_series(g2, beta)
                 if s2 is None:
                     continue
-                w = w + s1.mul(s2, max_h_weight=cap).scale(ways)
-        return w
+                terms = s1.mul(s2, max_h_weight=cap).coeffs.items()
+                add_terms(w, terms if ways == 1 else ((j, c * ways) for j, c in terms))
+        # every diagonal and slice exponent is even
+        return ZSeries(w, order=None, parity=0)
+
+    def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int) -> dict[int, ParamPoly]:
+        """k1 -> entry at (k1,) + rest, for every k1 with -2*k1-2 <= hi: the
+        poles of the principal part of W_{g,n}(z, rest)/(2 eta(z)) up to z^hi."""
+        w = self._assemble_w(g, n, rest)
+        if w.is_zero():
+            return {}
+        prod = w.mul(self.curve.inv2eta(), hi=hi, max_h_weight=self.curve.h_weight_cap)
+        if prod.order < hi + 1:
+            raise InsufficientOrderError(
+                f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})"
+            )
+        return {(-e - 2) // 2: c * Fraction(1, odd_df((-e - 2) // 2)) for e, c in prod.coeffs.items()}
 
     def _compute(self, g: int, n: int) -> Correlator:
+        # Each sorted entry is read off once, from its largest slot: the active
+        # variable takes k1 >= max(rest), so only the poles z^{-2k1-2} with
+        # exponent <= -2*max(rest)-2 are needed, and a rest with
+        # max(rest) + sum(rest) > dim holds no entry.  That the other slots
+        # would give the same values is the symmetry of w_{g,n} (a theorem of
+        # Eynard-Orantin); all_slots_agree re-reads every slot to check it.
         dim = 3 * g - 3 + n
-        inv = self.curve.inv2eta()
-        cap = self.curve.h_weight_cap
         entries: dict[tuple[int, ...], ParamPoly] = {}
         for rest in _sorted_tuples(n - 1, dim):
-            w = self._assemble_w(g, n, rest)
-            if w.is_zero():
+            top = rest[-1] if rest else 0
+            room = dim - sum(rest)
+            if top > room:
                 continue
-            prod = w.mul(inv, hi=-1, max_h_weight=cap)
-            if prod.order is not None and prod.order < 0:
-                raise InsufficientOrderError(
-                    f"product order {prod.order} < 0 at (g, n) = ({g}, {n})"
-                )
-            pp = principal_part(prod)
-            for e, c in pp.items():
-                if e % 2:
-                    raise AssertionError(f"odd pole exponent {e} at ({g}, {n})")
-                k1 = (-e - 2) // 2
-                if k1 < 0:
-                    raise AssertionError(f"unexpected exponent {e} at ({g}, {n})")
-                if k1 + sum(rest) > dim:
+            for k1, val in self._read_off(g, n, rest, -2 * top - 2).items():
+                if k1 > room:
                     raise AssertionError(
-                        f"dimension bound violated at ({g}, {n}): k = {(k1,) + rest}"
+                        f"dimension bound violated at ({g}, {n}): k = {rest + (k1,)}"
                     )
-                key = tuple(sorted((k1,) + rest))
-                val = c * Fraction(1, odd_df(k1))
-                old = entries.get(key)
-                if old is None:
-                    entries[key] = val
-                elif old != val:
-                    raise AssertionError(
-                        f"symmetry violated at ({g}, {n}) for key {key}"
-                    )
+                entries[rest + (k1,)] = val
         return Correlator(g, n, entries)
 
     # -- diagnostics ------------------------------------------------------------
+
+    def all_slots_agree(self, g: int, n: int) -> bool:
+        """Rebuild every entry of w_{g,n} from each of its slots and compare.
+
+        True when, for every rest and every k1, the full read-off (all poles,
+        not only those from the largest slot on) equals the stored entry at
+        (k1,) + rest, and no pole lies beyond the dimension bound.  This is
+        the symmetry check that ``_compute`` leaves out of the hot path.
+        """
+        corr = self.correlator(g, n)
+        dim = 3 * g - 3 + n
+        for rest in _sorted_tuples(n - 1, dim):
+            room = dim - sum(rest)
+            got = self._read_off(g, n, rest, -1)
+            if any(k1 > room for k1 in got):
+                return False
+            for k1 in range(room + 1):
+                if got.get(k1, PP_ZERO) != corr.value((k1,) + rest):
+                    return False
+        return True
 
     def loop_equation_negative_residual(self, g: int, n: int) -> bool:
         """Recombine 2*eta*w - W independently and verify the pole part cancels.

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 
-from kapparec.cli import main
+from kapparec.cli import _suite_bgw, main
 
 
 def run(capsys, args):
@@ -75,6 +75,16 @@ def test_verify_suites_pass(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "PASS" and len(report["rows"]) == 13
+
+
+def test_bgw_suite_counts_its_coefficient_comparisons():
+    # budget 4: 7 golden rows, 6 direct-vs-bootstrap comparisons, and 54
+    # K-family coefficients each checked for regularity and for the eps -> 0
+    # limit; only the goldens print a row
+    rows = list(_suite_bgw(None, 4, None))
+    assert all(passed for _, passed, _ in rows)
+    assert sum(row is not None for row, _, _ in rows) == 7
+    assert sum(checks for _, _, checks in rows) == 7 + 6 + 2 * 54
 
 
 def test_verify_regularity_extended_budget(capsys):
@@ -164,6 +174,7 @@ def test_bad_arguments_are_usage_errors(capsys):
         (["verify", "--suite", "conjecture", "--family", "j", "--epsilon-budget", "0"], "--family"),
         (["correlators", "--g", "-1", "--n", "5"], "--g"),
         (["hurwitz", "--g", "-1", "--partition", "1,1,1,1,1"], "--g"),
+        (["potentials", "--t-max", "-1"], "--t-max"),
     ):
         code, out, err = run(capsys, args)
         assert code == 2 and out == "" and msg in err, args

@@ -7,6 +7,7 @@ import pytest
 from kapparec.coeffs import h_star
 from kapparec.parampoly import ParamPoly
 from kapparec.toprec import (
+    Correlator,
     Engine,
     InsufficientOrderError,
     _sorted_tuples,
@@ -181,6 +182,30 @@ def test_loop_equation_residual(kw_engine, k_engine, j_engine):
     for eng in (kw_engine, k_engine, j_engine):
         for gn in [(0, 3), (1, 1), (1, 2), (2, 1)]:
             assert eng.loop_equation_negative_residual(*gn)
+
+
+def test_every_slot_reads_off_the_stored_entry(kw_engine, k_engine, weak_k_engine, bgw_engine):
+    # each entry is computed from its largest slot only; rebuilding it from
+    # every other slot must give the same value exactly
+    for eng in (kw_engine, k_engine, weak_k_engine, bgw_engine):
+        for gn in [(0, 4), (1, 2), (1, 3), (2, 2)]:
+            assert eng.all_slots_agree(*gn), (eng.curve.family, gn)
+
+
+def test_slot_check_catches_an_asymmetric_table():
+    def perturbed(gn):
+        eng = Engine(build_curve("kw", required_order(1, 3)))
+        entries = dict(eng.correlator(*gn).entries)
+        entries[max(entries)] += ParamPoly.const(1)
+        eng.table[gn] = Correlator(*gn, entries)
+        return eng
+
+    assert Engine(build_curve("kw", required_order(1, 3))).all_slots_agree(1, 2)
+    # a wrong w_{1,1} makes the recursion for w_{1,2} and w_{1,3} asymmetric
+    assert not perturbed((1, 1)).all_slots_agree(1, 2)
+    assert not perturbed((1, 1)).all_slots_agree(1, 3)
+    # a stored entry that no slot reads off
+    assert not perturbed((1, 2)).all_slots_agree(1, 2)
 
 
 def test_correlator_json_shape(kw_engine):
