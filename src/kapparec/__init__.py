@@ -15,7 +15,6 @@ from .coeffs import (
 from .intersect import Cache, IntersectionOracle
 from .kappapoly import (
     KappaPoly,
-    MixedPoly,
     expand_family,
     j_polys,
     k_polys,
@@ -37,7 +36,6 @@ __all__ = [
     "Engine",
     "IntersectionOracle",
     "KappaPoly",
-    "MixedPoly",
     "ParamPoly",
     "SpectralCurve",
     "ZSeries",

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .parampoly import ParamPoly
-from .rationals import double_factorial, fact
+from .rationals import fact, odd_df
 from .zseries import ZSeries, series_exp, series_log
 
 def alternating_product_series(a: Fraction, b: Fraction, order: int) -> ZSeries:
@@ -104,7 +104,7 @@ def h_star(style: str, k: int) -> Fraction:
     style "j": h_k = (-1)^k k!        (the sigma-sequence class).
     """
     if style == "k":
-        return Fraction((-1) ** k * double_factorial(2 * k + 1))
+        return Fraction((-1) ** k * odd_df(k))
     if style == "j":
         return Fraction((-1) ** k * fact(k))
     raise ValueError(f"unknown specialization style {style!r}")

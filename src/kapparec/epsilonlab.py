@@ -13,7 +13,6 @@ from fractions import Fraction
 from .intersect import IntersectionOracle
 from .kappapoly import (
     KappaPoly,
-    MixedPoly,
     j_polys,
     k_polys,
     kappa_substitute_pullback,
@@ -134,7 +133,7 @@ def verify_vanishing(oracle: IntersectionOracle, g: int, n: int, m: int, style: 
     comp = dim - m
     for psis, lam in complementary_monomials(g, n, comp):
         total = Fraction(0)
-        for p, c in fam.terms.items():
+        for (p, _), c in fam.terms.items():
             total += c * oracle.kappa_psi_number(
                 g, n, psis, tuple(sorted(p + lam, reverse=True))
             )
@@ -143,17 +142,17 @@ def verify_vanishing(oracle: IntersectionOracle, g: int, n: int, m: int, style: 
     return True
 
 
-def nested_psi_pullback(P: KappaPoly, n: int) -> MixedPoly:
+def nested_psi_pullback(P: KappaPoly, n: int) -> KappaPoly:
     """The class psi_n pi^*( ... psi_1 pi^*(P) ... ) on n marked points.
 
     Each pullback step substitutes kappa_j -> kappa_j - psi_new^j and then
     multiplies by psi_new; the psi-correction terms of the forgetful map die
     against these factors, so the formal substitution is exact here.
     """
-    cur: MixedPoly = MixedPoly.from_kappa(P, 0)
+    cur = P
     for i in range(1, n + 1):
         cur = kappa_substitute_pullback(cur)
-        psi_new = MixedPoly(i, {((), (0,) * (i - 1) + (1,)): Fraction(1)})
+        psi_new = KappaPoly({((), (0,) * (i - 1) + (1,)): Fraction(1)}, i)
         cur = cur * psi_new
     return cur
 
@@ -163,7 +162,7 @@ def verify_pullback_identity(oracle: IntersectionOracle, g: int, n: int) -> bool
     if g < 2 or n < 1:
         raise ValueError("needs g >= 2, n >= 1")
     m = 2 * g - 2 + n
-    diff = MixedPoly.from_kappa(k_polys(m)[m], n) - nested_psi_pullback(
+    diff = k_polys(m)[m].with_points(n) - nested_psi_pullback(
         k_polys(2 * g - 2)[2 * g - 2], n
     )
     dim = 3 * g - 3 + n
@@ -171,7 +170,7 @@ def verify_pullback_identity(oracle: IntersectionOracle, g: int, n: int) -> bool
     if comp < 0:
         return True
     for psis, lam in complementary_monomials(g, n, comp):
-        omega = MixedPoly(n, {(lam, psis): Fraction(1)})
+        omega = KappaPoly({(lam, psis): Fraction(1)}, n)
         if oracle.integrate(diff * omega, g, n):
             return False
     return True

@@ -40,12 +40,10 @@ from typing import Mapping, Sequence
 
 from .kappapoly import (
     KappaPoly,
-    MixedPoly,
     Partition,
     aut,
     multiplicities,
     multiset_splits,
-    partition_weight,
     partitions,
     set_partitions,
 )
@@ -101,10 +99,9 @@ class Cache:
             raise ValueError("corrupted cache file: no entries map")
         for k, v in entries.items():
             try:
-                rat_parse(v)
+                self.data[k] = rat_str(rat_parse(v))
             except (AttributeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"corrupted cache file: bad value {v!r} at {k}") from None
-            self.data[k] = v
         self.path = path
 
     def save(self, path: str | None = None) -> str:
@@ -270,7 +267,7 @@ class IntersectionOracle:
             raise ValueError("unstable (g, n)")
         if not lam:
             return self.kw_number(g, psis)
-        if partition_weight(lam) + sum(psis) != 3 * g - 3 + n:
+        if sum(lam) + sum(psis) != 3 * g - 3 + n:
             return Zero
         key = (g, psis, lam)
         hit = self._kpsi.get(key)
@@ -294,23 +291,16 @@ class IntersectionOracle:
 
     # -- linear extension ------------------------------------------------------
 
-    def integrate(self, P: KappaPoly | MixedPoly, g: int, n: int) -> Fraction:
-        """Pairing of a kappa or kappa-psi polynomial on the (g, n) space.
+    def integrate(self, P: KappaPoly, g: int, n: int) -> Fraction:
+        """Pairing of a kappa-psi polynomial on the (g, n) space; a kappa-only
+        polynomial is lifted to n points.
 
         Off-dimension terms contribute zero.
         """
         dim = 3 * g - 3 + n
         total = Zero
-        if isinstance(P, KappaPoly):
-            zeros = (0,) * n
-            for lam, c in P.terms.items():
-                if partition_weight(lam) == dim:
-                    total += c * self.kappa_psi_number(g, n, zeros, lam)
-            return total
-        if P.n != n:
-            raise ValueError("point count mismatch")
-        for (lam, a), c in P.terms.items():
-            if partition_weight(lam) + sum(a) == dim:
+        for (lam, a), c in P.with_points(n).terms.items():
+            if sum(lam) + sum(a) == dim:
                 total += c * self.kappa_psi_number(g, n, tuple(sorted(a)), lam)
         return total
 

@@ -1,10 +1,10 @@
-"""Partition-indexed polynomials in kappa classes, mixed kappa-psi polynomials,
-the universal families built from coefficient sequences, and their
-push-forward / pull-back rules under the point-forgetting map.
+"""Polynomials in kappa classes and psi classes, the universal families built
+from coefficient sequences, and their push-forward / pull-back rules under the
+point-forgetting map.
 
 A kappa monomial is stored as its partition in canonical non-increasing form,
-e.g. kappa_2^2 * kappa_1 <-> (2, 2, 1).  Monomial ordering for rendering and
-serialization is graded lexicographic.
+e.g. kappa_2^2 * kappa_1 <-> (2, 2, 1), next to its tuple of psi exponents.
+Monomial ordering for rendering and serialization is graded lexicographic.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .parampoly import ParamPoly, add_terms, mul_terms
 from .rationals import binomial, fact, rat_str
 
 Partition = tuple[int, ...]
+Key = tuple[Partition, tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -38,10 +39,6 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
 
 def merge_partitions(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
-
-
-def partition_weight(p: Partition) -> int:
-    return sum(p)
 
 
 def multiplicities(p: Sequence[int]) -> dict[int, int]:
@@ -100,46 +97,72 @@ def _canon(p: Iterable[int]) -> Partition:
 
 
 class KappaPoly:
-    """Polynomial in kappa_1, kappa_2, ... with Fraction coefficients."""
+    """Polynomial in kappa_1, kappa_2, ... and psi_1..psi_n with Fraction
+    coefficients, for a fixed point count n; n = 0 is the kappa-only ring.
 
-    __slots__ = ("terms",)
+    Keys are (kappa partition, psi exponent tuple of length n).  Sums need
+    equal point counts; in a product a kappa-only factor is lifted to the
+    other factor's n.
+    """
 
-    def __init__(self, terms: Mapping[Partition, Fraction] | None = None):
-        t: dict[Partition, Fraction] = {}
+    __slots__ = ("n", "terms")
+
+    def __init__(self, terms: Mapping[Key, Fraction] | None = None, n: int = 0):
+        self.n = n
+        t: dict[Key, Fraction] = {}
         if terms:
-            for p, c in terms.items():
+            for (p, a), c in terms.items():
                 c = Fraction(c)
-                if c:
-                    t[_canon(p)] = c
+                if not c:
+                    continue
+                a = tuple(a)
+                if len(a) != n:
+                    raise ValueError("psi exponent vector has wrong length")
+                t[(_canon(p), a)] = c
         self.terms = t
 
     @staticmethod
+    def _raw(terms: dict[Key, Fraction], n: int) -> "KappaPoly":
+        """Wrap a canonical, zero-free term map without copying it."""
+        out = KappaPoly.__new__(KappaPoly)
+        out.n, out.terms = n, terms
+        return out
+
+    @staticmethod
     def one() -> "KappaPoly":
-        return KappaPoly({(): Fraction(1)})
+        return KappaPoly({((), ()): Fraction(1)})
 
     @staticmethod
     def kappa(m: int, coeff: Fraction = Fraction(1)) -> "KappaPoly":
-        return KappaPoly({(m,): coeff})
+        return KappaPoly({((m,), ()): coeff})
+
+    def with_points(self, n: int) -> "KappaPoly":
+        """The same class on n marked points: a kappa-only polynomial gains n
+        zero psi exponents; a polynomial already on n points is returned."""
+        if n == self.n:
+            return self
+        if self.n:
+            raise ValueError("mixing incompatible point counts")
+        zero = (0,) * n
+        return KappaPoly._raw({(p, zero): c for (p, _), c in self.terms.items()}, n)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int | None:
         """Common weighted degree, or None if inhomogeneous / zero."""
-        degs = {partition_weight(p) for p in self.terms}
+        degs = {sum(p) + sum(a) for (p, a) in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def __add__(self, other: "KappaPoly") -> "KappaPoly":
-        out = KappaPoly.__new__(KappaPoly)
-        out.terms = add_terms(dict(self.terms), other.terms.items())
-        return out
+        if self.n != other.n:
+            raise ValueError("mixing incompatible point counts")
+        return KappaPoly._raw(add_terms(dict(self.terms), other.terms.items()), self.n)
 
     def __neg__(self) -> "KappaPoly":
-        out = KappaPoly.__new__(KappaPoly)
-        out.terms = {p: -c for p, c in self.terms.items()}
-        return out
+        return KappaPoly._raw({k: -c for k, c in self.terms.items()}, self.n)
 
     def __sub__(self, other: "KappaPoly") -> "KappaPoly":
         return self + (-other)
@@ -147,35 +170,36 @@ class KappaPoly:
     def __mul__(self, other: "KappaPoly | Fraction | int") -> "KappaPoly":
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
-            if not other:
-                return KappaPoly()
-            out = KappaPoly.__new__(KappaPoly)
-            out.terms = {p: c * other for p, c in self.terms.items()}
-            return out
-        out = KappaPoly.__new__(KappaPoly)
-        out.terms = mul_terms(self.terms, other.terms, merge_partitions)
-        return out
+            terms = {k: c * other for k, c in self.terms.items()} if other else {}
+            return KappaPoly._raw(terms, self.n)
+        n = max(self.n, other.n)
+        return KappaPoly._raw(
+            mul_terms(self.with_points(n).terms, other.with_points(n).terms, _product_key), n
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.n == other.n and self.terms == other.terms
 
-    def _sorted_keys(self) -> list[Partition]:
-        return sorted(self.terms, key=lambda p: (partition_weight(p), p))
+    def set_last_psi_zero(self) -> "KappaPoly":
+        """Drop terms with psi_n and forget the last slot."""
+        return KappaPoly._raw(
+            {(p, a[:-1]): c for (p, a), c in self.terms.items() if a[-1] == 0}, self.n - 1
+        )
 
     def render(self) -> str:
-        """Human-readable form like "9/2*k1^2 - 21/2*k2"."""
+        """Human-readable form like "9/2*k1^2 - 21/2*k2" (psi_i is "p<i>")."""
         if not self.terms:
             return "0"
         bits = []
-        for p in self._sorted_keys():
-            c = self.terms[p]
+        for p, a in sorted(self.terms, key=lambda k: (sum(k[0]) + sum(k[1]), *k)):
+            c = self.terms[(p, a)]
             mono = "*".join(
-                f"k{v}" + (f"^{m}" if m > 1 else "")
-                for v, m in sorted(multiplicities(p).items())
+                [f"k{v}" + (f"^{m}" if m > 1 else "") for v, m in sorted(multiplicities(p).items())]
+                + [f"p{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(a) if e]
             )
             cs = rat_str(abs(c))
             head = "- " if c < 0 else ("+ " if bits else "")
@@ -189,7 +213,7 @@ class KappaPoly:
     def to_json(self) -> dict[str, str]:
         return {
             ",".join(map(str, p)): rat_str(c)
-            for p, c in sorted(self.terms.items())
+            for (p, _), c in sorted(self.terms.items())
         }
 
     def __str__(self) -> str:
@@ -198,96 +222,8 @@ class KappaPoly:
     __repr__ = __str__
 
 
-def _mixed_key(k1, k2):
+def _product_key(k1: Key, k2: Key) -> Key:
     return merge_partitions(k1[0], k2[0]), tuple(x + y for x, y in zip(k1[1], k2[1]))
-
-
-class MixedPoly:
-    """Polynomial in kappa classes and psi_1..psi_n for a fixed point count n.
-
-    Keys are (kappa partition, psi exponent tuple of length n).
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple[Partition, tuple[int, ...]], Fraction] | None = None):
-        self.n = n
-        t: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
-        if terms:
-            for (p, a), c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                a = tuple(a)
-                if len(a) != n:
-                    raise ValueError("psi exponent vector has wrong length")
-                t[(_canon(p), a)] = c
-        self.terms = t
-
-    @staticmethod
-    def from_kappa(P: KappaPoly, n: int) -> "MixedPoly":
-        zero = (0,) * n
-        return MixedPoly(n, {(p, zero): c for p, c in P.terms.items()})
-
-    def __add__(self, other: "MixedPoly") -> "MixedPoly":
-        if self.n != other.n:
-            raise ValueError("mixing incompatible point counts")
-        out = MixedPoly.__new__(MixedPoly)
-        out.n, out.terms = self.n, add_terms(dict(self.terms), other.terms.items())
-        return out
-
-    def __neg__(self) -> "MixedPoly":
-        out = MixedPoly.__new__(MixedPoly)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "MixedPoly") -> "MixedPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MixedPoly | KappaPoly | Fraction | int") -> "MixedPoly":
-        if isinstance(other, (int, Fraction)):
-            return MixedPoly(self.n, {k: c * Fraction(other) for k, c in self.terms.items()})
-        if isinstance(other, KappaPoly):
-            other = MixedPoly.from_kappa(other, self.n)
-        if self.n != other.n:
-            raise ValueError("mixing incompatible point counts")
-        out = MixedPoly.__new__(MixedPoly)
-        out.n, out.terms = self.n, mul_terms(self.terms, other.terms, _mixed_key)
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MixedPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def set_last_psi_zero(self) -> "MixedPoly":
-        """Drop terms with psi_n and forget the last slot."""
-        t = {}
-        for (p, a), c in self.terms.items():
-            if a[-1] == 0:
-                t[(p, a[:-1])] = c
-        return MixedPoly(self.n - 1, t)
-
-    def degree(self) -> int | None:
-        degs = {partition_weight(p) + sum(a) for (p, a) in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (p, a), c in sorted(self.terms.items()):
-            mono = [f"k{v}" + (f"^{m}" if m > 1 else "") for v, m in sorted(multiplicities(p).items())]
-            mono += [f"p{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(a) if e]
-            bits.append(rat_str(c) + ("*" + "*".join(mono) if mono else ""))
-        return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 def expand_family(ell: Sequence[Fraction], m_max: int) -> list[KappaPoly]:
@@ -310,7 +246,10 @@ def expand_family(ell: Sequence[Fraction], m_max: int) -> list[KappaPoly]:
             for m in range(0, m_max - deg + 1):
                 add_terms(
                     updated[m + deg].terms,
-                    ((merge_partitions(p, part), c * coeff) for p, c in pieces[m].terms.items()),
+                    (
+                        ((merge_partitions(p, part), ()), c * coeff)
+                        for (p, _), c in pieces[m].terms.items()
+                    ),
                 )
         pieces = updated
     return pieces
@@ -354,10 +293,10 @@ def pushforward(P: KappaPoly, a: Fraction, b: Fraction, g: int, n: int) -> Kappa
     return fam[m] * scalar
 
 
-def pullback(P: KappaPoly, a: Fraction, b: Fraction) -> MixedPoly:
+def pullback(P: KappaPoly, a: Fraction, b: Fraction) -> KappaPoly:
     """pi^* L^(a,b)_m = sum_{i=0}^m (-1)^i prod_{r<i}(a+rb) psi^i L^(a,b)_{m-i}.
 
-    The psi is the new point's; the result is a MixedPoly with one psi slot.
+    The psi is the new point's; the result has one psi slot.
     """
     m = P.degree()
     if m is None:
@@ -365,36 +304,31 @@ def pullback(P: KappaPoly, a: Fraction, b: Fraction) -> MixedPoly:
     fam = family_polys(Fraction(a), Fraction(b), m)
     if P != fam[m]:
         raise ValueError("input is not the (a,b) family polynomial of its degree")
-    out = MixedPoly(1)
+    out = KappaPoly(n=1)
     prod = Fraction(1)
     for i in range(0, m + 1):
         if i > 0:
             prod *= Fraction(a) + (i - 1) * Fraction(b)
-        contrib = MixedPoly(
-            1, {(p, (i,)): c * Fraction((-1) ** i) * prod for p, c in fam[m - i].terms.items()}
+        contrib = KappaPoly(
+            {(p, (i,)): c * Fraction((-1) ** i) * prod for (p, _), c in fam[m - i].terms.items()}, 1
         )
         out = out + contrib
     return out
 
 
-def kappa_substitute_pullback(P: "KappaPoly | MixedPoly", n: int | None = None) -> MixedPoly:
-    """Substitute kappa_j -> kappa_j - psi_new^j, appending a new psi slot.
-
-    For a KappaPoly input the result has n slots ending with the new point
-    (n defaults to 1); for a MixedPoly input one slot is appended.
-    """
-    if isinstance(P, KappaPoly):
-        P = MixedPoly.from_kappa(P, (n or 1) - 1)
+def kappa_substitute_pullback(P: KappaPoly) -> KappaPoly:
+    """Substitute kappa_j -> kappa_j - psi_new^j, appending a new psi slot
+    after P's n slots."""
     nn = P.n + 1
-    out = MixedPoly(nn)
+    out = KappaPoly(n=nn)
     for (p, a), c in P.terms.items():
-        expansion = MixedPoly(nn, {((), a + (0,)): c})
+        expansion = KappaPoly({((), a + (0,)): c}, nn)
         for v, mult in multiplicities(p).items():
-            factor = MixedPoly(nn)
+            factor = KappaPoly(n=nn)
             for ch in range(mult + 1):
                 key = ((v,) * (mult - ch), tuple([0] * (nn - 1)) + (v * ch,))
-                factor = factor + MixedPoly(
-                    nn, {key: Fraction(binomial(mult, ch) * (-1) ** ch)}
+                factor = factor + KappaPoly(
+                    {key: Fraction(binomial(mult, ch) * (-1) ** ch)}, nn
                 )
             expansion = expansion * factor
         out = out + expansion

@@ -28,8 +28,7 @@ def add_terms(t: dict, pairs: Iterable[tuple]) -> dict:
 
     Zero coefficients are skipped and a key whose sum cancels is deleted, so
     no term map ever stores a zero.  This is the one zero-eliminating sum
-    behind every sparse class (ParamPoly, ZSeries, KappaPoly, MixedPoly,
-    TPoly).
+    behind every sparse class (ParamPoly, ZSeries, KappaPoly, TPoly).
     """
     for k, c in pairs:
         if not c:
@@ -212,9 +211,6 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- eps / h structure ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 def rat_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
@@ -27,21 +27,12 @@ def rat_parse(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def double_factorial(n: int) -> int:
-    """(2k+1)!! style double factorial with the convention (-1)!! = 1."""
-    if n < -1:
-        raise ValueError(f"double factorial undefined for {n}")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 @lru_cache(maxsize=None)
 def odd_df(k: int) -> int:
     """(2k+1)!!, cached; odd_df(-1) = (-1)!! = 1."""
-    return double_factorial(2 * k + 1)
+    if k < -1:
+        raise ValueError(f"double factorial undefined for {2 * k + 1}")
+    return prod(range(1, 2 * k + 2, 2))
 
 
 def binomial(n: int, k: int) -> int:

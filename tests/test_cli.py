@@ -142,6 +142,15 @@ def test_cache_import_of_a_missing_file_is_usage_error(capsys, tmp_path):
     assert not cpath.exists()
 
 
+def test_cache_import_accepts_an_equal_value_in_another_form(capsys, tmp_path):
+    cpath, inp = tmp_path / "cache.json", tmp_path / "in.json"
+    for path, value in ((cpath, "1/24"), (inp, "2/48")):
+        path.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"1;0,0,0,4;": value}}))
+    code, _, err = run(capsys, ["cache", "--action", "import", "--in", str(inp), "--cache", str(cpath)])
+    assert code == 0, err
+    assert json.loads(cpath.read_text())["entries"] == {"1;0,0,0,4;": "1/24"}
+
+
 def test_env_var_cache(capsys, tmp_path, monkeypatch):
     cpath = tmp_path / "envcache.json"
     monkeypatch.setenv("KAPPAREC_CACHE", str(cpath))

@@ -71,6 +71,10 @@ def test_h_from_s_examples():
     assert h_from_s([F(0)] * 5) == (0, 0, 0, 0, 0)
     assert [h_star("k", k) for k in range(5)] == [1, -3, 15, -105, 945]
     assert [h_star("j", k) for k in range(5)] == [1, -1, 2, -6, 24]
+    assert [odd_df(k) for k in range(-1, 4)] == [1, 1, 3, 15, 105]
+    for bad in (lambda: odd_df(-2), lambda: h_star("k", -2)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_h_s_roundtrip_random():

@@ -14,7 +14,7 @@ from kapparec.epsilonlab import (
     verify_pullback_identity,
     verify_vanishing,
 )
-from kapparec.kappapoly import MixedPoly, k_polys
+from kapparec.kappapoly import KappaPoly, k_polys
 from kapparec.parampoly import ParamPoly
 from kapparec.rationals import fact
 from kapparec.toprec import Correlator
@@ -121,6 +121,6 @@ def test_pullback_identity(oracle):
 
 def test_degree_mismatched_pairing_is_zero(oracle):
     m = 2 * 2 - 2 + 1
-    diff = MixedPoly.from_kappa(k_polys(m)[m], 1)
-    omega = MixedPoly(1, {((), (3,)): F(1)})  # wrong complementary degree
+    diff = k_polys(m)[m].with_points(1)
+    omega = KappaPoly({((), (3,)): F(1)}, 1)  # wrong complementary degree
     assert oracle.integrate(diff * omega, 2, 1) == 0

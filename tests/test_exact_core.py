@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kapparec.kappapoly import KappaPoly, MixedPoly
+from kapparec.kappapoly import KappaPoly
 from kapparec.parampoly import ParamPoly
 from kapparec.rationals import odd_df, rat_parse, rat_str
 from kapparec.tautools import TPoly
@@ -63,12 +63,12 @@ def test_kappa_mixed_ring_axioms_random():
         return tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
 
     def rnd_kappa():
-        return KappaPoly(rnd_terms(rng, part))
+        return KappaPoly(rnd_terms(rng, lambda: (part(), ())))
 
-    def rnd_mixed():
-        return MixedPoly(2, rnd_terms(rng, lambda: (part(), (rng.randint(0, 1), rng.randint(0, 1)))))
+    def rnd_mixed(n=2):
+        return KappaPoly(rnd_terms(rng, lambda: (part(), tuple(rng.randint(0, 1) for _ in range(n)))), n)
 
-    for rnd, one in ((rnd_kappa, KappaPoly.one()), (rnd_mixed, MixedPoly(2, {((), (0, 0)): 1}))):
+    for rnd, one in ((rnd_kappa, KappaPoly.one()), (rnd_mixed, KappaPoly({((), (0, 0)): 1}, 2))):
         for _ in range(80):
             a, b, c = rnd(), rnd(), rnd()
             assert (a + b) + c == a + (b + c)
@@ -79,6 +79,17 @@ def test_kappa_mixed_ring_axioms_random():
             assert a * one == a
             assert (a + (-a)).terms == {}
             assert no_zero((a + b).terms) and no_zero((a * b).terms)
+    # a kappa-only factor is lifted to the other factor's point count
+    for _ in range(80):
+        p, q = rnd_kappa(), rnd_mixed()
+        assert p * q == p.with_points(2) * q == q * p
+        assert p * q + q == (p + KappaPoly.one()).with_points(2) * q
+    for a, b in ((rnd_mixed(1), rnd_mixed(2)), (rnd_kappa(), rnd_mixed(2))):
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(ValueError):
+                op(b)
+    with pytest.raises(ValueError):
+        rnd_mixed(1) * rnd_mixed(2)
 
 
 def test_tpoly_ring_axioms_random():

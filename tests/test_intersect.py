@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from kapparec.intersect import Cache, IntersectionOracle, _key_str
-from kapparec.kappapoly import MixedPoly, j_polys, k_polys
+from kapparec.kappapoly import KappaPoly, j_polys, k_polys
 
 from conftest import bernoulli
 
@@ -97,8 +97,13 @@ def test_integrate_linearity_and_families(oracle):
     assert oracle.integrate(bundle, 1, 1) == 5 * F(1, 24) - 2 * F(1, 8)
     # off-dimension polynomial integrates to zero
     assert oracle.integrate(k_polys(2)[2], 1, 1) == 0
-    mp = MixedPoly(2, {((1,), (1, 0)): F(1)})
+    mp = KappaPoly({((1,), (1, 0)): F(1)}, 2)
     assert oracle.integrate(mp, 1, 2) == F(1, 12)
+    # a kappa-only polynomial is lifted to the point count it is paired on
+    for P, g, n in ((J1, 1, 1), (k_polys(2)[2], 1, 2), (k_polys(2)[2], 0, 5), (k_polys(3)[3], 2, 0)):
+        assert oracle.integrate(P, g, n) == oracle.integrate(P.with_points(n), g, n)
+    with pytest.raises(ValueError):
+        oracle.integrate(mp, 1, 1)
 
 
 def test_theorem2_vanishing_small(oracle):
@@ -132,7 +137,7 @@ def test_j_top_psi_pairing_bernoulli(oracle):
 
     for g in (1, 2, 3):
         J = j_polys(2 * g - 1)
-        mp = MixedPoly.from_kappa(J[2 * g - 1], 1) * MixedPoly(1, {((), (g - 1,)): F(1)})
+        mp = J[2 * g - 1] * KappaPoly({((), (g - 1,)): F(1)}, 1)
         got = oracle.integrate(mp, g, 1)
         assert got == bernoulli(2 * g) / (2 ** (2 * g - 1) * odd_df(g - 1) * 2 * g)
 
@@ -141,7 +146,6 @@ def test_kclass_matches_family_polynomial_pairing(oracle):
     # the shift expansion of the exponential class must equal the pairing of
     # its dimension-forced graded piece, integrated monomial by monomial
     from kapparec.coeffs import h_star
-    from kapparec.kappapoly import MixedPoly
 
     for style, polys in (("k", k_polys), ("j", j_polys)):
         hv = {k: h_star(style, k) for k in range(1, 8)}
@@ -151,8 +155,8 @@ def test_kclass_matches_family_polynomial_pairing(oracle):
             if w < 0:
                 continue
             fam = polys(max(w, 1))[w]
-            mono = MixedPoly(n, {((), tuple(psis)): F(1)})
-            want = oracle.integrate(MixedPoly.from_kappa(fam, n) * mono, g, n)
+            mono = KappaPoly({((), tuple(psis)): F(1)}, n)
+            want = oracle.integrate(fam * mono, g, n)
             assert oracle.kclass_psi(g, psis, hv) == want, (style, g, psis)
 
 

@@ -7,7 +7,6 @@ import pytest
 from kapparec.intersect import IntersectionOracle
 from kapparec.kappapoly import (
     KappaPoly,
-    MixedPoly,
     expand_family,
     j_polys,
     k_polys,
@@ -57,17 +56,22 @@ J5_GOLDEN = {
 }
 
 
+def kappa_only(golden):
+    """A golden {partition: coeff} dict as kappa-only term keys (p, ())."""
+    return {(p, ()): c for p, c in golden.items()}
+
+
 def test_family_goldens():
     K = k_polys(4)
     J = j_polys(5)
     for m, want in K_GOLDEN.items():
-        assert K[m].terms == want
+        assert K[m].terms == kappa_only(want)
     for m, want in J_GOLDEN.items():
-        assert J[m].terms == want
-    assert J[5].terms == J5_GOLDEN
+        assert J[m].terms == kappa_only(want)
+    assert J[5].terms == kappa_only(J5_GOLDEN)
     assert K[0] == KappaPoly.one()
     assert J[0] == KappaPoly.one()
-    assert p_polys(2)[2].terms == {(1, 1): F(1, 2), (2,): F(-5, 2)}
+    assert p_polys(2)[2].terms == kappa_only({(1, 1): F(1, 2), (2,): F(-5, 2)})
 
 
 def test_homogeneity_and_kappa_m_coefficient():
@@ -81,8 +85,8 @@ def test_homogeneity_and_kappa_m_coefficient():
         assert K[m].degree() == m
         assert J[m].degree() == m
         # the pure kappa_m coefficient is the sequence value itself
-        assert K[m].terms[(m,)] == s[m - 1]
-        assert J[m].terms[(m,)] == sig[m - 1]
+        assert K[m].terms[((m,), ())] == s[m - 1]
+        assert J[m].terms[((m,), ())] == sig[m - 1]
 
 
 def test_expand_family_validates_length():
@@ -114,16 +118,16 @@ def test_pullback_examples():
     J = j_polys(3)
     pb = pullback(J[2], F(1), F(1))
     want = (
-        MixedPoly.from_kappa(J[2], 1)
-        + MixedPoly(1, {((1,), (1,)): F(-1)})
-        + MixedPoly(1, {((), (2,)): F(2)})
+        J[2].with_points(1)
+        + KappaPoly({((1,), (1,)): F(-1)}, 1)
+        + KappaPoly({((), (2,)): F(2)}, 1)
     )
     assert pb == want
     pbk = pullback(K[2], F(3), F(2))
     # pi^* K_m = sum (-1)^i (2i+1)!! psi^i K_{m-i}
-    assert pbk.terms[((), (2,))] == odd_df(2) * K[0].terms[()]
-    assert pbk.terms[((1,), (1,))] == -odd_df(1) * K[1].terms[(1,)]
-    assert pullback(K[0], F(3), F(2)) == MixedPoly.from_kappa(KappaPoly.one(), 1)
+    assert pbk.terms[((), (2,))] == odd_df(2) * K[0].terms[((), ())]
+    assert pbk.terms[((1,), (1,))] == -odd_df(1) * K[1].terms[((1,), ())]
+    assert pullback(K[0], F(3), F(2)) == KappaPoly.one().with_points(1)
 
 
 def test_pullback_equals_substitution_on_family_polys():
@@ -137,18 +141,18 @@ def test_pullback_equals_substitution_on_family_polys():
 
 def test_substitution_examples():
     k1 = KappaPoly.kappa(1)
-    assert kappa_substitute_pullback(k1) == MixedPoly(
-        1, {((1,), (0,)): F(1), ((), (1,)): F(-1)}
+    assert kappa_substitute_pullback(k1) == KappaPoly(
+        {((1,), (0,)): F(1), ((), (1,)): F(-1)}, 1
     )
-    k1sq = KappaPoly({(1, 1): F(1)})
-    assert kappa_substitute_pullback(k1sq) == MixedPoly(
-        1, {((1, 1), (0,)): F(1), ((1,), (1,)): F(-2), ((), (2,)): F(1)}
+    k1sq = KappaPoly({((1, 1), ()): F(1)})
+    assert kappa_substitute_pullback(k1sq) == KappaPoly(
+        {((1, 1), (0,)): F(1), ((1,), (1,)): F(-2), ((), (2,)): F(1)}, 1
     )
     # setting the new psi to zero recovers the original polynomial
     J2 = j_polys(2)[2]
     sub = kappa_substitute_pullback(J2)
     back = sub.set_last_psi_zero()
-    assert back == MixedPoly.from_kappa(J2, 0)
+    assert back == J2
 
 
 def test_numeric_pushforward_against_oracle():
@@ -163,10 +167,9 @@ def test_numeric_pushforward_against_oracle():
             polys = fam(m + 1)
             scalar = a * (2 * g - 2 + n) - b * m
             for lam in partitions(comp):
-                mu = MixedPoly.from_kappa(KappaPoly({lam: F(1)}), n)
+                mu = KappaPoly({(lam, ()): F(1)}).with_points(n)
                 lhs = oracle.integrate(
-                    kappa_substitute_pullback(mu)
-                    * MixedPoly.from_kappa(polys[m + 1], n + 1),
+                    kappa_substitute_pullback(mu) * polys[m + 1],
                     g,
                     n + 1,
                 )
