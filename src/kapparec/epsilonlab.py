@@ -7,8 +7,8 @@ non-vanishing pairing with a class of degree beyond 2g-2+n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .intersect import IntersectionOracle
 from .kappapoly import (
@@ -22,8 +22,7 @@ from .parampoly import ParamPoly
 from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(NamedTuple):
     family: str
     g: int
     n: int

@@ -35,15 +35,14 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .kappapoly import (
     KappaPoly,
     Partition,
     aut,
+    cached_multiset_splits,
     multiplicities,
-    multiset_splits,
     partitions,
     set_partitions,
 )
@@ -90,6 +89,8 @@ class Cache:
     def load(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("corrupted cache file: not a JSON object")
         if payload.get("version") != CACHE_VERSION:
             raise ValueError(
                 f"cache version mismatch: {payload.get('version')!r} != {CACHE_VERSION!r}"
@@ -214,7 +215,7 @@ class IntersectionOracle:
             b = k1 - 2 - a
             coeff = Fraction(odd_df(a) * odd_df(b), 2)
             rhs += coeff * self.kw_number(g - 1, (a, b, *mu))
-            for alpha, beta, ways in _multiset_splits(mu):
+            for alpha, beta, ways in cached_multiset_splits(mu):
                 # <tau_a alpha>_{g1} is off dimension unless this divides exactly
                 g1, r = divmod(a + sum(alpha) + 2 - len(alpha), 3)
                 if r or g1 < 0 or g1 > g:
@@ -304,7 +305,4 @@ class IntersectionOracle:
                 total += c * self.kappa_psi_number(g, n, tuple(sorted(a)), lam)
         return total
 
-
-# the DVV recursion splits the same few multisets many times over
-_multiset_splits = lru_cache(maxsize=None)(multiset_splits)
 

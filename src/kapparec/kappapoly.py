@@ -19,6 +19,7 @@ from .rationals import binomial, fact, rat_str
 
 Partition = tuple[int, ...]
 Key = tuple[Partition, tuple[int, ...]]
+Split = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 @lru_cache(maxsize=None)
@@ -57,14 +58,15 @@ def aut(mu: Sequence[int]) -> int:
     return out
 
 
-def multiset_splits(mu: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+def multiset_splits(mu: Sequence[int]) -> list[Split]:
     """All ordered splits (alpha, beta) of the multiset mu, each with the
     number of ways to split mu's labeled slots into it.
 
     alpha and beta come out sorted ascending.  Uncached: the recursion
     engine meets many distinct keys, and a cache for them costs more memory
-    than it saves time; the intersection oracle, which asks for the same few
-    keys over and over, wraps it in its own cache.
+    than it saves time; the intersection oracle and the tautools product
+    rows, which ask for the same few keys over and over, use
+    ``cached_multiset_splits``.
     """
     out = [((), (), 1)]
     for v, m in sorted(multiplicities(mu).items()):
@@ -74,6 +76,12 @@ def multiset_splits(mu: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int,
             for take in range(m + 1)
         ]
     return out
+
+
+@lru_cache(maxsize=None)
+def cached_multiset_splits(mu: tuple[int, ...]) -> tuple[Split, ...]:
+    """``multiset_splits`` of a tuple, memoized."""
+    return tuple(multiset_splits(mu))
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .intersect import IntersectionOracle
-from .kappapoly import aut, multiset_splits
+from .kappapoly import aut, cached_multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, add_terms, mul_terms
 from .rationals import fact, odd_df
 from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
@@ -23,9 +23,15 @@ Entry = tuple[int, Mono]
 
 
 class Potential:
+    """A potential table.  ``memo`` holds the coefficients read off it so far:
+    derivatives under (g, mono, ds) (``_dcoeff``) and products under
+    (g, mono, da, db) (``_product_coeff``).  Whoever changes ``coeffs`` clears
+    it."""
+
     def __init__(self, coeffs: dict[Entry, ParamPoly], budget: int):
         self.coeffs = {k: v for k, v in coeffs.items() if v}
         self.budget = budget
+        self.memo: dict[tuple, ParamPoly] = {}
 
     def coeff(self, g: int, mono: Mono) -> ParamPoly:
         return self.coeffs.get((g, tuple(sorted(mono))), PP_ZERO)
@@ -68,29 +74,44 @@ def _dcoeff(F: Potential, g: int, mono: Mono, ds: Mono) -> ParamPoly:
     """Coefficient of hbar^g t^mono in the derivative of F by t_d for each d in ds.
 
     Inserting d into a monomial that already holds it c times gives the factor
-    c + 1; the factors multiply as each d is inserted in turn.
+    c + 1; the factors multiply as each d is inserted in turn.  Memoized on F:
+    the rows ask for the same coefficients many times over.
     """
-    key = mono
-    factor = 1
-    for d in ds:
-        key += (d,)
-        factor *= key.count(d)
-    c = F.coeffs.get((g, tuple(sorted(key))))
-    return PP_ZERO if c is None else c * Fraction(factor)
+    c = F.memo.get((g, mono, ds))
+    if c is None:
+        key = mono
+        factor = 1
+        for d in ds:
+            key += (d,)
+            factor *= key.count(d)
+        c = F.coeffs.get((g, tuple(sorted(key))), PP_ZERO)
+        if factor != 1 and c:
+            c = c * Fraction(factor)
+        F.memo[(g, mono, ds)] = c
+    return c
 
 
 def _product_coeff(F: Potential, g: int, mono: Mono, da: Mono, db: Mono) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in (d_{da} F)(d_{db} F)."""
-    total = PP_ZERO
-    splits = multiset_splits(mono)
-    for g1 in range(0, g + 1):
-        for alpha, beta, _ in splits:
-            c1 = _dcoeff(F, g1, alpha, da)
-            if not c1:
-                continue
-            c2 = _dcoeff(F, g - g1, beta, db)
-            if c2:
-                total = total + c1 * c2
+    """Coefficient of hbar^g t^mono in (d_{da} F)(d_{db} F).
+
+    Memoized on F under one key for both orders of da and db: the product
+    commutes, and the m-th constraint asks for both.
+    """
+    if db < da:
+        da, db = db, da
+    total = F.memo.get((g, mono, da, db))
+    if total is None:
+        total = PP_ZERO
+        splits = cached_multiset_splits(mono)
+        for g1 in range(0, g + 1):
+            for alpha, beta, _ in splits:
+                c1 = _dcoeff(F, g1, alpha, da)
+                if not c1:
+                    continue
+                c2 = _dcoeff(F, g - g1, beta, db)
+                if c2:
+                    total = total + c1 * c2
+        F.memo[(g, mono, da, db)] = total
     return total
 
 
@@ -216,17 +237,21 @@ def bgw_bootstrap(budget: int) -> Potential:
     """Solve the eps = 0 constraints (2m+1)!! dF/dt_m = G_m(F) from scratch.
 
     The constraints determine the potential uniquely level by level; entry
-    (m, mu) is read off the constraint indexed by its largest exponent.
+    (m, mu) is read off the constraint indexed by its largest exponent.  Each
+    level is merged into the table once it is complete, so no row reads a
+    half-written level, and the memo is cleared with it.
     """
-    coeffs: dict[Entry, ParamPoly] = {}
-    F = Potential(coeffs, budget)
+    F = Potential({}, budget)
     empty: dict[int, Fraction] = {}
     for g, n in levels(budget):
+        level: dict[Entry, ParamPoly] = {}
         for key in _sorted_tuples(n, 3 * g - 3 + n):
             m = key[-1]
             rhs = constraint_row(F, m, g, key[:-1], empty)
             if rhs:
-                F.coeffs[(g, key)] = rhs * Fraction(1, odd_df(m) * key.count(m))
+                level[(g, key)] = rhs * Fraction(1, odd_df(m) * key.count(m))
+        F.coeffs.update(level)
+        F.memo.clear()
     return F
 
 

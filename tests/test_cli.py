@@ -173,6 +173,20 @@ def test_bad_cache_value_is_usage_error(capsys, tmp_path):
             assert "cannot open cache" in err and "0;0,0,0;" in err, (value, args)
 
 
+def test_cache_file_not_a_json_object_is_usage_error(capsys, tmp_path):
+    for payload in ([1, 2], "x"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        for args in (
+            ["cache", "--action", "stats"],
+            ["verify", "--suite", "conjecture", "--epsilon-budget", "0"],
+        ):
+            code, out, err = run(capsys, args + ["--cache", str(bad)])
+            assert code == 2 and out == "", (payload, args)
+            assert "cannot open cache: corrupted cache file: not a JSON object" in err, (payload, args)
+        assert json.loads(bad.read_text()) == payload
+
+
 def test_bad_arguments_are_usage_errors(capsys):
     for args, msg in (
         (["correlators", "--family", "nope", "--g", "1", "--n", "1"], "--family"),

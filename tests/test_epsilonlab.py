@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from kapparec.epsilonlab import (
+    RegularityReport,
     check_regularity,
     complementary_monomials,
     levels,
@@ -33,6 +34,17 @@ def test_k_regularity_is_a_theorem(k_engine):
     # genus-0 entries sit at strictly positive eps powers
     assert all(r.min_eps_valuation >= 1 for r in reports if r.g == 0)
     assert "PASS" in reports[0].row()
+
+
+def test_regularity_report_fields_and_row(k_engine):
+    reports = check_regularity(k_engine, 5)
+    assert len(reports) == len(levels(5)) == 14
+    r = reports[6]
+    assert (r.family, r.g, r.n, r.entries, r.min_eps_valuation, r.passed) == ("k", 2, 1, 4, 0, True)
+    assert r.row() == "k        g=2 n=1 entries=   4 min_eps_val=  0 PASS"
+    assert reports[0].row() == "k        g=0 n=3 entries=   1 min_eps_val=  1 PASS"
+    empty = RegularityReport(family="weak-j", g=1, n=2, entries=0, min_eps_valuation=None, passed=False)
+    assert empty.row() == "weak-j   g=1 n=2 entries=   0 min_eps_val=  - FAIL"
 
 
 def test_j_regularity_conjectural_pass(j_engine):

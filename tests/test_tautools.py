@@ -7,7 +7,9 @@ import pytest
 from kapparec.coeffs import h_star, htilde_weak
 from kapparec.tautools import (
     Potential,
+    _determined_rows,
     bgw_bootstrap,
+    constraint_row,
     genus1_closed_form,
     htilde_unshifted,
     kdv_residual,
@@ -43,12 +45,35 @@ def test_kw_virasoro_all_m(kw_pot):
         assert not bad, (m, list(bad)[:3])
 
 
-def test_perturbation_is_detected(kw_pot):
-    bad_pot = kw_pot.perturbed(1, (1,))
-    _, bad = virasoro_rows(bad_pot, 0, htilde_unshifted())
-    assert bad
-    _, badk = kdv_residual(kw_pot.perturbed(0, (0, 0, 0, 1)))
-    assert badk
+def test_memo_changes_no_value(kw_pot, bgw_pot, k_pot):
+    # every determined row, read off a potential whose memo the row checks
+    # have filled, equals the same row on a copy that starts with none
+    for pot, ht, ms in (
+        (kw_pot, htilde_unshifted(), range(-1, 5)),
+        (bgw_pot, {}, range(0, 5)),
+        (k_pot, {}, range(0, 4)),
+    ):
+        for m in ms:
+            virasoro_rows(pot, m, ht)
+        kdv_residual(pot)
+        assert pot.memo
+        fresh = Potential(dict(pot.coeffs), pot.budget)
+        for m in ms:
+            for g, mono in _determined_rows(pot.budget, m):
+                assert constraint_row(pot, m, g, mono, ht) == constraint_row(fresh, m, g, mono, ht), (m, g, mono)
+
+
+def test_perturbation_is_detected(kw_pot, bgw_pot):
+    # each check runs on the original first, so its memo is full: a perturbed
+    # copy must not read it, and the original must still pass afterwards
+    for pot, check, key in (
+        (kw_pot, lambda F: virasoro_rows(F, 0, htilde_unshifted()), (1, (1,))),
+        (bgw_pot, lambda F: virk_rows(F, 1, with_eps=False), (2, (1,))),
+        (kw_pot, kdv_residual, (0, (0, 0, 0, 1))),
+    ):
+        assert not check(pot)[1]
+        assert check(pot.perturbed(*key))[1], key
+        assert not check(pot)[1]
 
 
 def test_kw_kdv(kw_pot):
