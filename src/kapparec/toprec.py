@@ -20,6 +20,21 @@ algebraic curves and topological expansion"), so the other slots would
 repeat it.  Engine.all_slots_agree rebuilds every entry from each of its
 slots and compares the copies exactly.
 
+Two coefficient rings run under one recursion, picked from the curve by
+SpectralCurve.eps_weight:
+
+- the integer core (kw, k, j, bgw, kstar): slices, W and 1/(2 eta) are
+  IntSeries, integer numerators over one shared denominator, at eps = 1.
+  No gcd is taken until read-off, where an entry becomes
+  Fraction(num, den * (2k_1+1)!!).  eps comes back from a grading: the y of
+  k and j is quasi-homogeneous of degree -1 under z -> l z, eps -> l^2 eps,
+  so every entry at k of w_{g,n} is a rational times eps^(sum(k)-g+1); kw,
+  bgw and kstar have no eps and their entries are rationals;
+- ZSeries of ParamPoly (weak-k, weak-j): the coefficients carry formal h_i
+  as well as eps, and products drop monomials over the h-weight cap.
+
+Correlator entries are ParamPoly in both cases.
+
 Computed correlators are immutable and the per-engine table is append-only
 with deterministic, schedule-independent entries; the slices built from it
 are memoized on the engine for the same reason.
@@ -31,6 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import htilde_weak
+from .intseries import IntSeries
 from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, add_terms
 from .rationals import odd_df
@@ -59,6 +75,23 @@ class SpectralCurve:
         self.n_h = n_h
         self.h_weight_cap = h_weight_cap
         self._inv2eta: ZSeries | None = None
+
+    def eps_weight(self) -> int | None:
+        """0 when every coefficient of y is a rational; 1 when the coefficient
+        of z^j is a rational times eps^(-(j+1)/2); None otherwise (formal h_i
+        or another eps pattern).
+
+        With weight 1, y is quasi-homogeneous of degree -1 under z -> lz,
+        eps -> l^2 eps, so the entry at k of w_{g,n} is a rational times
+        eps^(sum(k)-g+1).  In both cases the engine runs at eps = 1 and the
+        weight times that exponent restores eps.
+        """
+        keys = [(j, key) for j, c in self.y.coeffs.items() for key in c.terms]
+        if all(key == (0, ()) for _, key in keys):
+            return 0
+        if all(key == (-(j + 1) // 2, ()) for j, key in keys):
+            return 1
+        return None
 
     def eta_over_dz(self) -> ZSeries:
         return self.y.shift(1)
@@ -172,15 +205,105 @@ def levels(budget: int) -> list[tuple[int, int]]:
     ]
 
 
-class Engine:
-    """Memoizing recursion driver bound to one spectral curve."""
+class _PolyRing:
+    """ZSeries of ParamPoly: the ring of curves whose coefficients carry
+    formal h_i (the weak families), with products cut at the h-weight cap.
+
+    A ring gives the engine: ``series`` (the exact even series sum v*f*z^e
+    over (e, ParamPoly v, int f) triples, None when zero), ``w_sum`` (a
+    series plus the (s1, s2, ways) pair products), ``product`` (W times
+    1/(2 eta) up to z^hi), ``entries`` (its poles as ParamPoly entries) and
+    ``two_eta`` for the loop-equation check.
+    """
 
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
+
+    def series(self, terms) -> ZSeries | None:
+        cs = add_terms({}, ((e, v * f) for e, v, f in terms))
+        return ZSeries(cs, order=None, parity=0) if cs else None
+
+    def w_sum(self, base: ZSeries | None, products) -> ZSeries:
+        cap = self.curve.h_weight_cap
+        w = dict(base.coeffs) if base is not None else {}
+        for s1, s2, ways in products:
+            terms = s1.mul(s2, max_h_weight=cap).coeffs.items()
+            add_terms(w, terms if ways == 1 else ((j, c * ways) for j, c in terms))
+        return ZSeries(w, order=None, parity=0)
+
+    def product(self, w: ZSeries, hi: int) -> ZSeries:
+        return w.mul(self.curve.inv2eta(), hi=hi, max_h_weight=self.curve.h_weight_cap)
+
+    def entries(self, prod: ZSeries, g: int, rest: tuple[int, ...]) -> dict[int, ParamPoly]:
+        return {(-e - 2) // 2: c * Fraction(1, odd_df((-e - 2) // 2)) for e, c in prod.coeffs.items()}
+
+    def two_eta(self) -> ZSeries:
+        return self.curve.eta_over_dz().scale(2)
+
+
+def _at_eps_one(p: ParamPoly) -> Fraction:
+    """The value of an h-free ParamPoly at eps = 1."""
+    vals = p.terms.values()
+    return next(iter(vals)) if len(vals) == 1 else sum(vals, Fraction(0))
+
+
+class _IntRing:
+    """IntSeries at eps = 1: the ring of the scalar curves (kw, k, j, bgw,
+    kstar).  Entries get eps back from the grading at read-off."""
+
+    def __init__(self, curve: SpectralCurve, weight: int):
+        self.curve = curve
+        self.weight = weight
+        self._inv: IntSeries | None = None
+
+    def lower(self, s: ZSeries) -> IntSeries:
+        return IntSeries.from_terms(((j, _at_eps_one(c), 1) for j, c in s.coeffs.items()), s.order)
+
+    def series(self, terms) -> IntSeries | None:
+        s = IntSeries.from_terms((e, _at_eps_one(v), f) for e, v, f in terms)
+        return s if s.coeffs else None
+
+    def w_sum(self, base: IntSeries | None, products) -> IntSeries:
+        return IntSeries.sum_of_products(base, products)
+
+    def product(self, w: IntSeries, hi: int) -> IntSeries:
+        if self._inv is None:
+            self._inv = self.lower(self.curve.inv2eta())
+        return w.mul(self._inv, hi=hi)
+
+    def entries(self, prod: IntSeries, g: int, rest: tuple[int, ...]) -> dict[int, ParamPoly]:
+        # eps^(weight*(sum(k)-g+1)): the grading of SpectralCurve.eps_weight
+        shift = sum(rest) - g + 1
+        out = {}
+        for e, c in prod.coeffs.items():
+            k1 = (-e - 2) // 2
+            out[k1] = ParamPoly.eps(self.weight * (shift + k1), Fraction(c, prod.den * odd_df(k1)))
+        return out
+
+    def two_eta(self) -> IntSeries:
+        return self.lower(self.curve.eta_over_dz().scale(2))
+
+
+_QUARTER = ParamPoly.const(Fraction(1, 4))
+
+
+class Engine:
+    """Memoizing recursion bound to one spectral curve.
+
+    The recursion itself (which entries to read off, the dimension bound,
+    the order guards) is shared; slices, W and the product with 1/(2 eta) live in a
+    coefficient ring picked from the curve: the integer core when
+    ``curve.eps_weight()`` is not None, ZSeries of ParamPoly otherwise.
+    """
+
+    def __init__(self, curve: SpectralCurve):
+        self.curve = curve
+        weight = curve.eps_weight()
+        self._ring = _PolyRing(curve) if weight is None else _IntRing(curve, weight)
         self.table: dict[tuple[int, int], Correlator] = {}
         # (g', alpha) -> slice; pure in the append-only table, so it lives
         # exactly as long as the engine
-        self._slices: dict[tuple[int, tuple[int, ...]], ZSeries | None] = {}
+        self._slices: dict[tuple[int, tuple[int, ...]], ZSeries | IntSeries | None] = {}
 
     def correlator(self, g: int, n: int) -> Correlator:
         if n < 1 or g < 0 or 2 * g - 2 + n <= 0:
@@ -201,56 +324,57 @@ class Engine:
 
     # -- assembly -------------------------------------------------------------
 
-    def _slice_series(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | None:
+    def _slice_series(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | IntSeries | None:
         """w'-factor with active variable z and remaining slots frozen at alpha."""
         key = (gp, alpha)
-        if key not in self._slices:
-            self._slices[key] = self._build_slice(gp, alpha)
-        return self._slices[key]
+        try:
+            return self._slices[key]
+        except KeyError:
+            s = self._slices[key] = self._build_slice(gp, alpha)
+            return s
 
-    def _build_slice(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | None:
+    def _build_slice(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | IntSeries | None:
         if gp == 0 and len(alpha) == 0:
             return None  # w_{0,1} = 0
         if gp == 0 and len(alpha) == 1:
             # mixed w_{0,2}(z, z_j) against the (2k+1)!! basis: z^{2k}/(2k-1)!!
             k = alpha[0]
-            return ZSeries.monomial(2 * k, Fraction(2 * k + 1, odd_df(k)))
+            return self._ring.series([(2 * k, ParamPoly.const(Fraction(2 * k + 1, odd_df(k))), 1)])
         corr = self.correlator(gp, len(alpha) + 1)
         smax = 3 * gp - 3 + len(alpha) + 1 - sum(alpha)
         if smax < 0:
             return None
-        cs = {}
-        for k in range(smax + 1):
-            v = corr.value((k,) + alpha)
-            if v:
-                cs[-2 * k - 2] = v * odd_df(k)
-        if not cs:
-            return None
-        return ZSeries(cs, order=None, parity=0)
+        return self._ring.series(
+            (-2 * k - 2, v, odd_df(k))
+            for k in range(smax + 1)
+            if (v := corr.value((k,) + alpha))
+        )
 
-    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> ZSeries:
-        cap = self.curve.h_weight_cap
-        w: dict[int, ParamPoly] = {}
+    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> ZSeries | IntSeries:
         # diagonal part w_{g-1, n+1}(z, z, rest)
+        diag = []
         if g >= 1:
             if 2 * (g - 1) - 2 + (n + 1) > 0:
                 lower = self.correlator(g - 1, n + 1)
                 smax = 3 * (g - 1) - 3 + (n + 1) - sum(rest)
-                add_terms(w, (
-                    (-2 * (k + kp) - 4, v * Fraction((1 if k == kp else 2) * odd_df(k) * odd_df(kp)))
+                diag = [
+                    (-2 * (k + kp) - 4, v, (1 if k == kp else 2) * odd_df(k) * odd_df(kp))
                     for k in range(smax + 1)
                     for kp in range(k, smax - k + 1)
                     if (v := lower.value((k, kp) + rest))
-                ))
+                ]
             elif (g, n) == (1, 1):
-                w[-2] = ParamPoly.const(Fraction(1, 4))
-        # ordered pair products; w_{0,1} factors vanish and must be skipped
-        # before any recursive lookup (they would otherwise self-recurse)
+                diag = [(-2, _QUARTER, 1)]
+        # ordered pair products, each computed once together with its mirror
+        # (g2, beta, g1, alpha), which has the same ways; w_{0,1} factors
+        # vanish and must be skipped before any recursive lookup (they would
+        # otherwise self-recurse)
+        products = []
         splits = multiset_splits(rest)
         for g1 in range(0, g + 1):
             g2 = g - g1
             for alpha, beta, ways in splits:
-                if (g1 == 0 and not alpha) or (g2 == 0 and not beta):
+                if (g1, alpha) > (g2, beta) or (g1 == 0 and not alpha):
                     continue
                 s1 = self._slice_series(g1, alpha)
                 if s1 is None:
@@ -258,10 +382,9 @@ class Engine:
                 s2 = self._slice_series(g2, beta)
                 if s2 is None:
                     continue
-                terms = s1.mul(s2, max_h_weight=cap).coeffs.items()
-                add_terms(w, terms if ways == 1 else ((j, c * ways) for j, c in terms))
+                products.append((s1, s2, ways if (g1, alpha) == (g2, beta) else 2 * ways))
         # every diagonal and slice exponent is even
-        return ZSeries(w, order=None, parity=0)
+        return self._ring.w_sum(self._ring.series(diag), products)
 
     def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int) -> dict[int, ParamPoly]:
         """k1 -> entry at (k1,) + rest, for every k1 with -2*k1-2 <= hi: the
@@ -269,12 +392,12 @@ class Engine:
         w = self._assemble_w(g, n, rest)
         if w.is_zero():
             return {}
-        prod = w.mul(self.curve.inv2eta(), hi=hi, max_h_weight=self.curve.h_weight_cap)
+        prod = self._ring.product(w, hi)
         if prod.order < hi + 1:
             raise InsufficientOrderError(
                 f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})"
             )
-        return {(-e - 2) // 2: c * Fraction(1, odd_df((-e - 2) // 2)) for e, c in prod.coeffs.items()}
+        return self._ring.entries(prod, g, rest)
 
     def _compute(self, g: int, n: int) -> Correlator:
         # Each sorted entry is read off once, from its largest slot: the active
@@ -326,16 +449,13 @@ class Engine:
         True when, for every slice, all provably-known negative-exponent
         coefficients of 2*eta*w_{g,n} - W_{g,n} vanish.
         """
-        corr = self.correlator(g, n)
-        two_eta = self.curve.eta_over_dz().scale(2)
+        self.correlator(g, n)
+        two_eta = self._ring.two_eta()
         dim = 3 * g - 3 + n
         for rest in _sorted_tuples(n - 1, dim):
-            sw = self._slice_series(g, rest) if (g, len(rest)) != (0, 0) else None
-            if sw is None:
-                sw = ZSeries.zero(order=None)
-            lhs = two_eta.mul(sw)
+            sw = self._slice_series(g, rest)
             rhs = self._assemble_w(g, n, rest)
-            diff = lhs - rhs
+            diff = rhs if sw is None else two_eta.mul(sw) - rhs
             for e, c in diff.items():
                 if e < 0 and c:
                     return False

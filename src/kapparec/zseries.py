@@ -67,10 +67,6 @@ class ZSeries:
     def zero(order: int | None = None) -> "ZSeries":
         return ZSeries({}, order=order)
 
-    @staticmethod
-    def monomial(exponent: int, coeff: Coeff = 1, order: int | None = None) -> "ZSeries":
-        return ZSeries({exponent: coeff}, order=order, parity=exponent % 2)
-
     def low(self) -> int | None:
         """Smallest possibly-nonzero exponent (None for the exact zero series)."""
         if self.coeffs:

@@ -10,12 +10,15 @@ from kapparec.toprec import (
     Correlator,
     Engine,
     InsufficientOrderError,
+    SpectralCurve,
+    _IntRing,
     _sorted_tuples,
     build_curve,
     correlators_to_potential,
+    levels,
     required_order,
 )
-from kapparec.zseries import series_invert
+from kapparec.zseries import ZSeries, series_invert
 from kapparec.rationals import odd_df
 
 
@@ -155,13 +158,65 @@ def test_bgw_direct_run(bgw_engine):
     assert entry(bgw_engine.correlator(3, 2), (1, 1)) == 2 * F(63, 1024)
 
 
-def test_kstar_is_k_at_eps_minus_one(kstar_engine, k_engine):
-    for g, n in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
-        ck = k_engine.correlator(g, n)
-        cs = kstar_engine.correlator(g, n)
-        sign = (-1) ** (2 * g - 2 + n)
-        for key in _sorted_tuples(n, 3 * g - 3 + n):
-            assert sign * ck.value(key).subs_eps(F(-1)) == cs.value(key)
+def test_kstar_is_k_at_eps_minus_one(k_engine):
+    # kstar is k at eps = -1 with y -> -y: each kstar entry is
+    # (-1)^(n + sum(k) - g + 1) times the rational coefficient of the k entry
+    kstar = Engine(build_curve("kstar", max(required_order(g, n) for g, n in levels(7))))
+    count = 0
+    for g, n in levels(7):
+        ck, cs = k_engine.correlator(g, n), kstar.correlator(g, n)
+        assert set(ck.entries) == set(cs.entries), (g, n)
+        for key, v in ck.entries.items():
+            e = sum(key) - g + 1
+            assert cs.entries[key] == ParamPoly.const((-1) ** (n + e) * v.eps_part(e).as_fraction())
+            count += 1
+    assert count == 415
+
+
+def _substituted_curve(family: str, order: int, eps: int) -> SpectralCurve:
+    """The family's curve with a rational substituted for eps in y, built by
+    hand: the engine sees rational coefficients and runs no grading."""
+    y = build_curve(family, order).y
+    y = ZSeries({j: c.subs_eps(eps) for j, c in y.coeffs.items()}, order=y.order, parity=1)
+    return SpectralCurve(family, y, order)
+
+
+@pytest.mark.parametrize("family", ["k", "j"])
+def test_eps_is_a_grading(family):
+    # the integer core runs k and j at eps = 1 and restores eps as
+    # eps^(sum(k)-g+1); check that grading on curves with eps = 1 and eps = 2
+    # substituted, which carry no eps at all
+    order = max(required_order(g, n) for g, n in levels(6))
+    one = Engine(_substituted_curve(family, order, 1))
+    two = Engine(_substituted_curve(family, order, 2))
+    graded = Engine(build_curve(family, order))
+    assert one.curve.eps_weight() == two.curve.eps_weight() == 0
+    for g, n in levels(6):
+        c1, c2 = one.correlator(g, n), two.correlator(g, n)
+        assert set(c1.entries) == set(c2.entries), (g, n)
+        for key, v in c1.entries.items():
+            assert c2.entries[key] == v * F(2) ** (sum(key) - g + 1), (g, n, key)
+        assert {key: v.subs_eps(2) for key, v in graded.correlator(g, n).entries.items()} == c2.entries
+
+
+@pytest.mark.parametrize("family", ["k", "j", "kstar"])
+def test_required_order_is_enough_and_two_less_is_refused(family):
+    for g, n in [(0, 3), (0, 5), (1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]:
+        order = required_order(g, n)
+        Engine(build_curve(family, order)).correlator(g, n)
+        with pytest.raises(InsufficientOrderError, match="curve order"):
+            Engine(build_curve(family, order - 2)).correlator(g, n)
+
+
+def test_a_short_y_is_caught_by_the_product_order_guard():
+    # the curve claims depth for (2, 1) but its y stops at z^5: the curve-order
+    # precheck passes, and the integer core must refuse at the product
+    short = build_curve("k", 6).y
+    eng = Engine(SpectralCurve("k", short, required_order(2, 1)))
+    assert isinstance(eng._ring, _IntRing)
+    eng.correlator(0, 3)
+    with pytest.raises(InsufficientOrderError, match="product order"):
+        eng.correlator(2, 1)
 
 
 def test_insufficient_order_is_loud():
