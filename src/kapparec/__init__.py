@@ -26,7 +26,7 @@ from .kappapoly import (
 )
 from .parampoly import ParamPoly
 from .toprec import Correlator, Engine, SpectralCurve, build_curve, required_order
-from .zseries import ZSeries, principal_part, series_exp, series_invert, series_log
+from .zseries import ZSeries, series_exp, series_invert, series_log
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "kappa_substitute_pullback",
     "p_polys",
     "p_sequence",
-    "principal_part",
     "pullback",
     "pushforward",
     "required_order",

@@ -1,15 +1,18 @@
 """Truncated Laurent series in z with integer numerators over one shared
 denominator: the coefficient ring of the recursion engine's integer core.
 
-A series is ``coeffs`` (exponent -> nonzero int numerator), ``den`` (a
-positive int) and the provable truncation ``order`` with the same meaning as
-in :mod:`kapparec.zseries` (``None`` marks an exactly-known series).  The
-value at z^j is ``coeffs[j] / den``.
+A series is ``coeffs`` (key -> nonzero int numerator), ``den`` (a positive
+int), its ``pack`` and the provable truncation ``order`` with the same
+meaning as in :mod:`kapparec.zseries` (``None`` marks an exactly-known
+series).  The coefficients are polynomials in h_1, h_2, ...: the term
+z^j h^alpha sits at the key ``(j << pack.zshift) | pack.pack(alpha)``, so
+keys add as the monomials multiply and sort by exponent first.  With no h
+(an empty pack) the key is j and the value at z^j is ``coeffs[j] / den``.
 
 Nothing is reduced: a product multiplies the denominators, a sum rescales
-both sides to the lcm of theirs, and no gcd is taken until a caller turns a
-numerator into a ``Fraction``.  Integer multiply-adds are several times
-cheaper than ``Fraction`` ones, which normalise after every operation.
+to the lcm of its terms' denominators, and no gcd is taken until a caller
+turns a numerator into a ``Fraction``.  Integer multiply-adds are several
+times cheaper than ``Fraction`` ones, which normalise after every operation.
 """
 
 from __future__ import annotations
@@ -18,92 +21,134 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+from .parampoly import hweight
 from .zseries import _min_order
 
 
-class IntSeries:
-    __slots__ = ("coeffs", "den", "order")
+class HPacking:
+    """h-monomials packed into one int: alpha_i in a field just wide enough
+    for cap // i, above them the weight sum(i*alpha_i) in a field wide
+    enough for 2 * cap + 1, and the z bits from ``zshift`` on (with no h,
+    every field is empty and ``zshift`` is 0).
 
-    def __init__(self, coeffs: dict[int, int], den: int, order: int | None = None):
+    Two monomials whose weights sum to at most ``cap`` have alpha_i + beta_i
+    <= cap // i, so no field carries and the sum of their keys is the key of
+    their product.  A pair over the cap may carry between alpha fields, but
+    its weight field still reads over the cap and never reaches the z bits;
+    products drop such keys, so every operand stays within the cap.  With
+    ``capped`` False the cap is a bound that no weight may pass, and passing
+    it is an AssertionError, not a drop.
+    """
+
+    def __init__(self, n: int, cap: int, capped: bool = True):
+        self.fields: list[tuple[int, int]] = []  # (offset, mask) of alpha_1..alpha_n
+        shift = 0
+        for i in range(1, n + 1):
+            width = (cap // i).bit_length()
+            self.fields.append((shift, (1 << width) - 1))
+            shift += width
+        self.cap, self.capped, self.wshift = cap, capped, shift
+        self.zshift = shift + (2 * cap + 1).bit_length() if n else 0
+        self.wfield = (1 << self.zshift) - (1 << shift)
+        self.wcap = cap << shift
+        self._keys: dict[tuple[int, ...], int | None] = {}
+        self._tuples: dict[int, tuple[int, ...]] = {}
+
+    def pack(self, h: tuple[int, ...]) -> int | None:
+        """The key of h^alpha, or None when its weight is over the cap."""
+        if h not in self._keys:
+            w = hweight(h)
+            assert self.capped or w <= self.cap, f"h-weight {w} over the bound {self.cap}"
+            key = w << self.wshift
+            for (off, _), e in zip(self.fields, h):
+                key |= e << off
+            self._keys[h] = key if w <= self.cap else None
+        return self._keys[h]
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of the h-part of a key, trailing zeros trimmed."""
+        h = self._tuples.get(key)
+        if h is None:
+            h = [(key >> off) & mask for off, mask in self.fields]
+            while h and not h[-1]:
+                h.pop()
+            h = self._tuples[key] = tuple(h)
+        return h
+
+
+def _kept(out: dict[int, int], pack: HPacking) -> dict[int, int]:
+    """out without zeros and without the terms over the cap."""
+    wfield, wcap = pack.wfield, pack.wcap
+    kept = {k: c for k, c in out.items() if c and k & wfield <= wcap}
+    assert pack.capped or len(kept) == sum(map(bool, out.values())), "h-weight over the bound"
+    return kept
+
+
+class IntSeries:
+    __slots__ = ("coeffs", "den", "pack", "order")
+
+    def __init__(self, coeffs: dict[int, int], den: int, pack: HPacking, order: int | None = None):
         self.coeffs = coeffs
         self.den = den
+        self.pack = pack
         self.order = order
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[int, Fraction, int]], order: int | None = None) -> "IntSeries":
-        """The series sum c*f*z^e over (e, c, f) triples with Fraction c and
-        int f, over the lcm of the denominators of the c."""
+    def from_terms(terms: Iterable[tuple[int, Fraction, int]], pack: HPacking,
+                   order: int | None = None) -> "IntSeries":
+        """The series sum c*f at key e over (e, c, f) triples with Fraction c
+        and int f, over the lcm of the denominators of the c."""
         terms = [t for t in terms if t[1]]
         den = lcm(*(c.denominator for _, c, _ in terms))
         out: dict[int, int] = {}
         for e, c, f in terms:
             out[e] = out.get(e, 0) + c.numerator * f * (den // c.denominator)
-        return IntSeries({e: v for e, v in out.items() if v}, den, order)
+        return IntSeries({e: v for e, v in out.items() if v}, den, pack, order)
 
     @staticmethod
-    def sum_of_products(
-        base: "IntSeries | None", products: Iterable[tuple["IntSeries", "IntSeries", int]]
-    ) -> "IntSeries":
-        """base + sum of ways * s1 * s2 over (s1, s2, ways), all exact.
-
-        Each product is summed into one numerator map per denominator, so no
-        partial sum is rescaled; the maps meet over the lcm at the end.
-        """
-        buckets: dict[int, dict[int, int]] = {}
-        if base is not None:
-            buckets[base.den] = dict(base.coeffs)
+    def sum_of_products(base: "IntSeries | None", products, pack: HPacking) -> "IntSeries":
+        """base + sum of ways * s1 * s2 over (s1, s2, ways), all exact, over
+        the lcm of the denominators; each product's rescaling rides on ways."""
+        products = list(products)
+        den = lcm(*(s1.den * s2.den for s1, s2, _ in products), base.den if base else 1)
+        out = {j: c * (den // base.den) for j, c in base.coeffs.items()} if base else {}
+        get = out.get
         for s1, s2, ways in products:
-            acc = buckets.setdefault(s1.den * s2.den, {})
-            get = acc.get
+            f = ways * (den // (s1.den * s2.den))
             b = s2.coeffs.items()
             for j1, c1 in s1.coeffs.items():
-                c1 *= ways
+                c1 *= f
                 for j2, c2 in b:
                     j = j1 + j2
-                    acc[j] = get(j, 0) + c1 * c2
-        den = lcm(*buckets)
-        out: dict[int, int] = {}
-        for d, acc in buckets.items():
-            f = den // d
-            for j, c in acc.items():
-                out[j] = out.get(j, 0) + c * f
-        return IntSeries({j: c for j, c in out.items() if c}, den)
+                    out[j] = get(j, 0) + c1 * c2
+        return IntSeries(_kept(out, pack), den, pack)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def items(self) -> list[tuple[int, Fraction]]:
-        """Sorted (exponent, exact value) pairs."""
+        """Sorted (key, exact value) pairs."""
         return [(j, Fraction(c, self.den)) for j, c in sorted(self.coeffs.items())]
-
-    def __sub__(self, other: "IntSeries") -> "IntSeries":
-        order = _min_order(self.order, other.order)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        out = {j: c * fa for j, c in self.coeffs.items()}
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, 0) - c * fb
-        return IntSeries(
-            {j: c for j, c in out.items() if c and (order is None or j < order)}, den, order
-        )
 
     def mul(self, other: "IntSeries", hi: int | None = None) -> "IntSeries":
         """Exact truncated product, with the provable order of ZSeries.mul:
         min(N1+b2, N2+b1), capped at hi+1 when hi is given."""
         a, b = self.coeffs, other.coeffs
+        zs = self.pack.zshift
         order = _min_order(
-            None if self.order is None else self.order + min(b),
-            None if other.order is None else other.order + min(a),
+            None if self.order is None else self.order + (min(b) >> zs),
+            None if other.order is None else other.order + (min(a) >> zs),
         )
         if hi is not None:
             order = _min_order(order, hi + 1)
+        top = None if order is None else order << zs
         out: dict[int, int] = {}
         get = out.get
         bs = sorted(b.items())
         for j1, c1 in a.items():
             for j2, c2 in bs:
                 j = j1 + j2
-                if order is not None and j >= order:
+                if top is not None and j >= top:
                     break
                 out[j] = get(j, 0) + c1 * c2
-        return IntSeries({j: c for j, c in out.items() if c}, self.den * other.den, order)
+        return IntSeries(_kept(out, self.pack), self.den * other.den, self.pack, order)

@@ -70,10 +70,11 @@ def multiset_splits(mu: Sequence[int]) -> list[Split]:
     """
     out = [((), (), 1)]
     for v, m in sorted(multiplicities(mu).items()):
+        takes = [((v,) * t, (v,) * (m - t), binomial(m, t)) for t in range(m + 1)]
         out = [
-            (alpha + (v,) * take, beta + (v,) * (m - take), ways * binomial(m, take))
+            (alpha + a, beta + b, ways * c)
             for alpha, beta, ways in out
-            for take in range(m + 1)
+            for a, b, c in takes
         ]
     return out
 

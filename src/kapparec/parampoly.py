@@ -76,7 +76,8 @@ def _hmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
 
 
-def _hweight(h: tuple[int, ...]) -> int:
+def hweight(h: tuple[int, ...]) -> int:
+    """The weight sum(i * alpha_i) of the monomial h^alpha."""
     return sum((i + 1) * e for i, e in enumerate(h))
 
 
@@ -95,6 +96,13 @@ class ParamPoly:
         self.terms = t
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def raw(terms: dict[Key, Fraction]) -> "ParamPoly":
+        """Wrap a canonical, zero-free term map without copying it."""
+        out = ParamPoly.__new__(ParamPoly)
+        out.terms = terms
+        return out
 
     @staticmethod
     def const(c: Scalar) -> "ParamPoly":
@@ -151,16 +159,12 @@ class ParamPoly:
             return self
         if not self.terms:
             return other
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = add_terms(dict(self.terms), other.terms.items())
-        return out
+        return ParamPoly.raw(add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return ParamPoly.raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         return self + (-_coerce(other))
@@ -173,25 +177,15 @@ class ParamPoly:
             other = Fraction(other)
             if not other:
                 return ParamPoly()
-            out = ParamPoly.__new__(ParamPoly)
-            out.terms = {k: c * other for k, c in self.terms.items()}
-            return out
+            return ParamPoly.raw({k: c * other for k, c in self.terms.items()})
         return self.mul(other)
 
     __rmul__ = __mul__
 
-    def mul(self, other: "ParamPoly", max_h_weight: int | None = None) -> "ParamPoly":
-        """Product, optionally dropping monomials of h-weight > max_h_weight."""
-
-        def key(k1: Key, k2: Key) -> Key | None:
-            h = _hmul(k1[1], k2[1])
-            if max_h_weight is not None and _hweight(h) > max_h_weight:
-                return None
-            return (k1[0] + k2[0], h)
-
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = mul_terms(self.terms, other.terms, key)
-        return out
+    def mul(self, other: "ParamPoly") -> "ParamPoly":
+        return ParamPoly.raw(
+            mul_terms(self.terms, other.terms, lambda k1, k2: (k1[0] + k2[0], _hmul(k1[1], k2[1])))
+        )
 
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:

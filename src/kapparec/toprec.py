@@ -20,20 +20,17 @@ algebraic curves and topological expansion"), so the other slots would
 repeat it.  Engine.all_slots_agree rebuilds every entry from each of its
 slots and compares the copies exactly.
 
-Two coefficient rings run under one recursion, picked from the curve by
-SpectralCurve.eps_weight:
-
-- the integer core (kw, k, j, bgw, kstar): slices, W and 1/(2 eta) are
-  IntSeries, integer numerators over one shared denominator, at eps = 1.
-  No gcd is taken until read-off, where an entry becomes
-  Fraction(num, den * (2k_1+1)!!).  eps comes back from a grading: the y of
-  k and j is quasi-homogeneous of degree -1 under z -> l z, eps -> l^2 eps,
-  so every entry at k of w_{g,n} is a rational times eps^(sum(k)-g+1); kw,
-  bgw and kstar have no eps and their entries are rationals;
-- ZSeries of ParamPoly (weak-k, weak-j): the coefficients carry formal h_i
-  as well as eps, and products drop monomials over the h-weight cap.
-
-Correlator entries are ParamPoly in both cases.
+Slices, W and 1/(2 eta) live in an integer core at eps = 1 (IntSeries):
+integer numerators over one shared denominator, with no gcd taken until
+read-off, where an entry becomes Fraction(num, den * (2k_1+1)!!).  A key
+packs the z-exponent with an h-monomial, and products drop the monomials
+over the h-weight cap; on a curve whose y has no h (kw, k, j, bgw, kstar)
+the packing is empty and a key is just the exponent, while weak-k and
+weak-j carry formal h_i.  eps comes back from a grading
+(SpectralCurve.eps_weight): y is quasi-homogeneous of degree -1 under
+z -> l z, eps -> l^2 eps, h_i -> l^(-2i) h_i, so the term h^alpha of the
+entry at k of w_{g,n} carries eps^(sum(k)-g+1+hweight(alpha)); kw, bgw and
+kstar have no eps.  Correlator entries are ParamPoly.
 
 Computed correlators are immutable and the per-engine table is append-only
 with deterministic, schedule-independent entries; the slices built from it
@@ -46,9 +43,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import htilde_weak
-from .intseries import IntSeries
+from .intseries import HPacking, IntSeries
 from .kappapoly import aut, multiset_splits
-from .parampoly import PP_ZERO, ParamPoly, add_terms
+from .parampoly import PP_ZERO, ParamPoly, hweight
 from .rationals import odd_df
 from .zseries import ZSeries, series_invert
 
@@ -76,29 +73,28 @@ class SpectralCurve:
         self.h_weight_cap = h_weight_cap
         self._inv2eta: ZSeries | None = None
 
-    def eps_weight(self) -> int | None:
-        """0 when every coefficient of y is a rational; 1 when the coefficient
-        of z^j is a rational times eps^(-(j+1)/2); None otherwise (formal h_i
-        or another eps pattern).
-
-        With weight 1, y is quasi-homogeneous of degree -1 under z -> lz,
-        eps -> l^2 eps, so the entry at k of w_{g,n} is a rational times
-        eps^(sum(k)-g+1).  In both cases the engine runs at eps = 1 and the
-        weight times that exponent restores eps.
+    def eps_weight(self) -> int:
+        """0 when no term of y carries eps; 1 when every term h^alpha at z^j
+        carries eps^(-(j+1)/2 + hweight(alpha)), the grading under which the
+        term h^alpha of the entry at k of w_{g,n} carries
+        eps^(sum(k)-g+1+hweight(alpha)).  The engine runs at eps = 1, and the
+        weight times that exponent restores eps.  Any other y raises ValueError.
         """
-        keys = [(j, key) for j, c in self.y.coeffs.items() for key in c.terms]
-        if all(key == (0, ()) for _, key in keys):
+        keys = [(j, e, h) for j, c in self.y.coeffs.items() for e, h in c.terms]
+        if all(e == 0 for _, e, _ in keys):
             return 0
-        if all(key == (-(j + 1) // 2, ()) for j, key in keys):
+        if all(e == -(j + 1) // 2 + hweight(h) for j, e, h in keys):
             return 1
-        return None
+        raise ValueError("y fits no eps grading: its terms z^j h^alpha must all carry "
+                         "eps^0 or all carry eps^(-(j+1)/2 + hweight(alpha))")
 
     def eta_over_dz(self) -> ZSeries:
         return self.y.shift(1)
 
     def inv2eta(self) -> ZSeries:
-        """1/(2 eta/dz), not cut at h_weight_cap: every product that uses it
-        drops the terms over the cap, and h-weights are non-negative and add."""
+        """1/(2 eta/dz), not cut at h_weight_cap: the integer core drops the
+        terms over the cap when it lowers it, and h-weights are non-negative
+        and add."""
         if self._inv2eta is None:
             two_eta = self.eta_over_dz().scale(2)
             if two_eta.order is None:
@@ -177,22 +173,16 @@ class Correlator:
 
 @lru_cache(maxsize=None)
 def _sorted_tuples(n: int, total_max: int) -> tuple[tuple[int, ...], ...]:
-    """Non-decreasing n-tuples of non-negative ints with sum <= total_max."""
-    if n == 0:
-        return ((),)
-    out = []
+    """Non-decreasing n-tuples of non-negative ints with sum <= total_max,
+    in lexicographic order."""
 
-    def rec(prefix: list[int], minv: int, rem: int):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(minv, rem + 1):
-            prefix.append(v)
-            rec(prefix, v, rem - v)
-            prefix.pop()
+    def rec(k: int, low: int, rem: int):
+        if not k:
+            yield ()
+        for v in range(low, rem // k + 1 if k else 0):
+            yield from ((v,) + t for t in rec(k - 1, v, rem - v))
 
-    rec([], 0, total_max)
-    return tuple(out)
+    return tuple(rec(n, 0, total_max))
 
 
 def levels(budget: int) -> list[tuple[int, int]]:
@@ -205,80 +195,59 @@ def levels(budget: int) -> list[tuple[int, int]]:
     ]
 
 
-class _PolyRing:
-    """ZSeries of ParamPoly: the ring of curves whose coefficients carry
-    formal h_i (the weak families), with products cut at the h-weight cap.
+class _IntRing:
+    """The integer core at eps = 1: IntSeries whose keys pack the z-exponent
+    with an h-monomial (HPacking).  On a curve whose y has no h (kw, k, j,
+    bgw, kstar) the packing is empty and a key is its exponent.  Monomials
+    over the h-weight cap are dropped when a series is lowered and after
+    every product; an uncapped curve packs under twice its order, a bound
+    its weights do not reach (they stay below about half the order).
 
-    A ring gives the engine: ``series`` (the exact even series sum v*f*z^e
+    A ring gives the engine ``series`` (the exact even series sum v*f*z^e
     over (e, ParamPoly v, int f) triples, None when zero), ``w_sum`` (a
     series plus the (s1, s2, ways) pair products), ``product`` (W times
-    1/(2 eta) up to z^hi), ``entries`` (its poles as ParamPoly entries) and
-    ``two_eta`` for the loop-equation check.
+    1/(2 eta) up to z^hi), ``entries`` (its poles as ParamPoly entries, eps
+    restored from the grading) and ``two_eta`` for the loop-equation check.
     """
 
-    def __init__(self, curve: SpectralCurve):
-        self.curve = curve
-
-    def series(self, terms) -> ZSeries | None:
-        cs = add_terms({}, ((e, v * f) for e, v, f in terms))
-        return ZSeries(cs, order=None, parity=0) if cs else None
-
-    def w_sum(self, base: ZSeries | None, products) -> ZSeries:
-        cap = self.curve.h_weight_cap
-        w = dict(base.coeffs) if base is not None else {}
-        for s1, s2, ways in products:
-            terms = s1.mul(s2, max_h_weight=cap).coeffs.items()
-            add_terms(w, terms if ways == 1 else ((j, c * ways) for j, c in terms))
-        return ZSeries(w, order=None, parity=0)
-
-    def product(self, w: ZSeries, hi: int) -> ZSeries:
-        return w.mul(self.curve.inv2eta(), hi=hi, max_h_weight=self.curve.h_weight_cap)
-
-    def entries(self, prod: ZSeries, g: int, rest: tuple[int, ...]) -> dict[int, ParamPoly]:
-        return {(-e - 2) // 2: c * Fraction(1, odd_df((-e - 2) // 2)) for e, c in prod.coeffs.items()}
-
-    def two_eta(self) -> ZSeries:
-        return self.curve.eta_over_dz().scale(2)
-
-
-def _at_eps_one(p: ParamPoly) -> Fraction:
-    """The value of an h-free ParamPoly at eps = 1."""
-    vals = p.terms.values()
-    return next(iter(vals)) if len(vals) == 1 else sum(vals, Fraction(0))
-
-
-class _IntRing:
-    """IntSeries at eps = 1: the ring of the scalar curves (kw, k, j, bgw,
-    kstar).  Entries get eps back from the grading at read-off."""
-
-    def __init__(self, curve: SpectralCurve, weight: int):
+    def __init__(self, curve: SpectralCurve, weight: int, n: int):
         self.curve = curve
         self.weight = weight
+        cap = curve.h_weight_cap if n else 0  # no h: the empty packing
+        self.pack = HPacking(n, 2 * curve.order if cap is None else cap, cap is not None)
         self._inv: IntSeries | None = None
 
-    def lower(self, s: ZSeries) -> IntSeries:
-        return IntSeries.from_terms(((j, _at_eps_one(c), 1) for j, c in s.coeffs.items()), s.order)
+    def lower(self, s: ZSeries) -> IntSeries | None:
+        return self.series(((j, c, 1) for j, c in s.coeffs.items()), s.order)
 
-    def series(self, terms) -> IntSeries | None:
-        s = IntSeries.from_terms((e, _at_eps_one(v), f) for e, v, f in terms)
+    def series(self, terms, order: int | None = None) -> IntSeries | None:
+        pack = self.pack
+        flat = (((e << pack.zshift) | key, c, f)
+                for e, v, f in terms
+                for (_, h), c in v.terms.items()
+                if (key := pack.pack(h)) is not None)
+        s = IntSeries.from_terms(flat, pack, order)
         return s if s.coeffs else None
 
     def w_sum(self, base: IntSeries | None, products) -> IntSeries:
-        return IntSeries.sum_of_products(base, products)
+        return IntSeries.sum_of_products(base, products, self.pack)
 
     def product(self, w: IntSeries, hi: int) -> IntSeries:
         if self._inv is None:
             self._inv = self.lower(self.curve.inv2eta())
-        return w.mul(self._inv, hi=hi)
+        return self._inv.mul(w, hi=hi)
 
     def entries(self, prod: IntSeries, g: int, rest: tuple[int, ...]) -> dict[int, ParamPoly]:
-        # eps^(weight*(sum(k)-g+1)): the grading of SpectralCurve.eps_weight
-        shift = sum(rest) - g + 1
-        out = {}
-        for e, c in prod.coeffs.items():
-            k1 = (-e - 2) // 2
-            out[k1] = ParamPoly.eps(self.weight * (shift + k1), Fraction(c, prod.den * odd_df(k1)))
-        return out
+        # the term h^alpha carries eps^(weight*(sum(k)-g+1+hweight(alpha))):
+        # the grading of SpectralCurve.eps_weight
+        pack, shift = self.pack, sum(rest) - g + 1
+        hmask = (1 << pack.zshift) - 1
+        terms: dict[int, dict] = {}
+        for key, c in prod.coeffs.items():
+            k1, h = (-(key >> pack.zshift) - 2) // 2, key & hmask
+            e = self.weight * (shift + k1 + (h >> pack.wshift))
+            terms.setdefault(k1, {})[(e, pack.unpack(h))] = Fraction(c, prod.den * odd_df(k1))
+        return {k1: ParamPoly.raw(t) for k1, t in terms.items()}
 
     def two_eta(self) -> IntSeries:
         return self.lower(self.curve.eta_over_dz().scale(2))
@@ -291,19 +260,19 @@ class Engine:
     """Memoizing recursion bound to one spectral curve.
 
     The recursion itself (which entries to read off, the dimension bound,
-    the order guards) is shared; slices, W and the product with 1/(2 eta) live in a
-    coefficient ring picked from the curve: the integer core when
-    ``curve.eps_weight()`` is not None, ZSeries of ParamPoly otherwise.
+    the order guards) is shared; slices, W and the product with 1/(2 eta)
+    live in the integer core, _IntRing.
     """
 
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
         weight = curve.eps_weight()
-        self._ring = _PolyRing(curve) if weight is None else _IntRing(curve, weight)
+        n = max((len(h) for c in curve.y.coeffs.values() for _, h in c.terms), default=0)
+        self._ring = _IntRing(curve, weight, n)
         self.table: dict[tuple[int, int], Correlator] = {}
         # (g', alpha) -> slice; pure in the append-only table, so it lives
         # exactly as long as the engine
-        self._slices: dict[tuple[int, tuple[int, ...]], ZSeries | IntSeries | None] = {}
+        self._slices: dict[tuple[int, tuple[int, ...]], IntSeries | None] = {}
 
     def correlator(self, g: int, n: int) -> Correlator:
         if n < 1 or g < 0 or 2 * g - 2 + n <= 0:
@@ -324,7 +293,7 @@ class Engine:
 
     # -- assembly -------------------------------------------------------------
 
-    def _slice_series(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | IntSeries | None:
+    def _slice_series(self, gp: int, alpha: tuple[int, ...]) -> IntSeries | None:
         """w'-factor with active variable z and remaining slots frozen at alpha."""
         key = (gp, alpha)
         try:
@@ -333,7 +302,7 @@ class Engine:
             s = self._slices[key] = self._build_slice(gp, alpha)
             return s
 
-    def _build_slice(self, gp: int, alpha: tuple[int, ...]) -> ZSeries | IntSeries | None:
+    def _build_slice(self, gp: int, alpha: tuple[int, ...]) -> IntSeries | None:
         if gp == 0 and len(alpha) == 0:
             return None  # w_{0,1} = 0
         if gp == 0 and len(alpha) == 1:
@@ -350,7 +319,7 @@ class Engine:
             if (v := corr.value((k,) + alpha))
         )
 
-    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> ZSeries | IntSeries:
+    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> IntSeries:
         # diagonal part w_{g-1, n+1}(z, z, rest)
         diag = []
         if g >= 1:
@@ -371,10 +340,10 @@ class Engine:
         # otherwise self-recurse)
         products = []
         splits = multiset_splits(rest)
-        for g1 in range(0, g + 1):
+        for g1 in range(g // 2 + 1):
             g2 = g - g1
             for alpha, beta, ways in splits:
-                if (g1, alpha) > (g2, beta) or (g1 == 0 and not alpha):
+                if (g1 == g2 and alpha > beta) or (g1 == 0 and not alpha):
                     continue
                 s1 = self._slice_series(g1, alpha)
                 if s1 is None:
@@ -382,7 +351,7 @@ class Engine:
                 s2 = self._slice_series(g2, beta)
                 if s2 is None:
                     continue
-                products.append((s1, s2, ways if (g1, alpha) == (g2, beta) else 2 * ways))
+                products.append((s1, s2, ways if g1 == g2 and alpha == beta else 2 * ways))
         # every diagonal and slice exponent is even
         return self._ring.w_sum(self._ring.series(diag), products)
 
@@ -454,11 +423,13 @@ class Engine:
         dim = 3 * g - 3 + n
         for rest in _sorted_tuples(n - 1, dim):
             sw = self._slice_series(g, rest)
-            rhs = self._assemble_w(g, n, rest)
-            diff = rhs if sw is None else two_eta.mul(sw) - rhs
-            for e, c in diff.items():
-                if e < 0 and c:
-                    return False
+            lhs = two_eta.mul(sw) if sw is not None else None
+            top = 0 if lhs is None or lhs.order is None else min(0, lhs.order)
+            top <<= self._ring.pack.zshift  # as a key
+            poles = [{k: c for k, c in s.items() if k < top} if s is not None else {}
+                     for s in (lhs, self._assemble_w(g, n, rest))]
+            if poles[0] != poles[1]:
+                return False
         return True
 
 

@@ -137,12 +137,7 @@ class ZSeries:
 
     # -- multiplication ----------------------------------------------------------
 
-    def mul(
-        self,
-        other: "ZSeries",
-        hi: int | None = None,
-        max_h_weight: int | None = None,
-    ) -> "ZSeries":
+    def mul(self, other: "ZSeries", hi: int | None = None) -> "ZSeries":
         """Exact truncated product.
 
         The provable order is min(N1+b2, N2+b1) for truncations N_i and lower
@@ -174,7 +169,7 @@ class ZSeries:
         cs = add_terms(
             {},
             (
-                (j1 + j2, c1.mul(c2, max_h_weight=max_h_weight))
+                (j1 + j2, c1.mul(c2))
                 for j1, c1 in a.items()
                 for j2, c2 in b.items()
                 if order is None or j1 + j2 < order
@@ -272,16 +267,3 @@ def series_log(s: ZSeries, out_order: int | None = None) -> ZSeries:
         out = out + term.scale(Fraction((-1) ** (k + 1), k))
     return out
 
-
-def principal_part(s: ZSeries) -> ZSeries:
-    """The sub-series of strictly negative z-exponents.
-
-    Exact (order None) whenever the input order is >= 0, since all negative
-    exponents are then fully known.
-    """
-    cs = {j: c for j, c in s.coeffs.items() if j < 0}
-    if s.order is None or s.order >= 0:
-        order = None
-    else:
-        order = s.order
-    return ZSeries(cs, order=order, parity=s.parity)

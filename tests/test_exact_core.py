@@ -12,7 +12,6 @@ from kapparec.tautools import TPoly
 from kapparec.zseries import (
     TruncationError,
     ZSeries,
-    principal_part,
     series_exp,
     series_invert,
     series_log,
@@ -281,23 +280,3 @@ def test_series_log_exp_roundtrip_and_examples():
         series_log(ZSeries({0: 2}, order=4))
     with pytest.raises(ValueError):
         series_exp(ZSeries({0: 1}, order=4))
-
-
-def test_principal_part():
-    s = ZSeries({-2: 1, 0: 1, 1: 1}, order=5)
-    assert dict(principal_part(s).items()) == {-2: ParamPoly.one()}
-    s2 = ZSeries({-4: 3, -2: ParamPoly.eps(1), 0: 5, 2: 1}, order=4)
-    pp = principal_part(s2)
-    assert dict(pp.items()) == {-4: ParamPoly.const(3), -2: ParamPoly.eps(1)}
-    assert pp.order is None  # fully known once the input order is >= 0
-    assert (s2 - pp).low() >= 0
-
-
-def test_principal_part_recovers_kw_one_point():
-    # W_{1,1} = dz^2/(4 z^2) against 1/(2 eta) = z^-2/2 for y = z gives
-    # w_{1,1} = (1/8) dz / z^4, the <tau_1> = 1/24 entry times 3!!
-    w = ZSeries({-2: F(1, 4)}, order=None, parity=0)
-    inv2eta = ZSeries({-2: F(1, 2)}, order=10, parity=0)
-    pp = principal_part(w.mul(inv2eta))
-    assert dict(pp.items()) == {-4: ParamPoly.const(F(1, 8))}
-    assert pp.coeff(-4).as_fraction() == F(1, 24) * odd_df(1)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from kapparec.cli import _engine, _top
 from kapparec.coeffs import h_star
-from kapparec.parampoly import ParamPoly
+from kapparec.parampoly import ParamPoly, hweight
 from kapparec.toprec import (
     Correlator,
     Engine,
@@ -173,12 +176,13 @@ def test_kstar_is_k_at_eps_minus_one(k_engine):
     assert count == 415
 
 
-def _substituted_curve(family: str, order: int, eps: int) -> SpectralCurve:
+def _substituted_curve(family: str, order: int, eps: int, n_h: int = 0) -> SpectralCurve:
     """The family's curve with a rational substituted for eps in y, built by
-    hand: the engine sees rational coefficients and runs no grading."""
-    y = build_curve(family, order).y
+    hand: the engine sees coefficients free of eps and runs no grading."""
+    cap = n_h or None
+    y = build_curve(family, order, n_h=n_h, h_weight_cap=cap).y
     y = ZSeries({j: c.subs_eps(eps) for j, c in y.coeffs.items()}, order=y.order, parity=1)
-    return SpectralCurve(family, y, order)
+    return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=cap)
 
 
 @pytest.mark.parametrize("family", ["k", "j"])
@@ -197,6 +201,54 @@ def test_eps_is_a_grading(family):
         for key, v in c1.entries.items():
             assert c2.entries[key] == v * F(2) ** (sum(key) - g + 1), (g, n, key)
         assert {key: v.subs_eps(2) for key, v in graded.correlator(g, n).entries.items()} == c2.entries
+
+
+@pytest.mark.parametrize("family", ["weak-k", "weak-j"])
+def test_eps_is_a_grading_on_the_weak_curves(family):
+    # the h rows run at eps = 1 and restore eps as
+    # eps^(sum(k)-g+1+hweight(alpha)) on the term h^alpha; check that grading
+    # on curves with eps = 1 and eps = 2 substituted, whose y carries h only
+    order, n_h = max(required_order(g, n) for g, n in levels(6)), 8
+    one = Engine(_substituted_curve(family, order, 1, n_h))
+    two = Engine(_substituted_curve(family, order, 2, n_h))
+    graded = Engine(build_curve(family, order, n_h=n_h, h_weight_cap=n_h))
+    assert one.curve.eps_weight() == two.curve.eps_weight() == 0
+    terms = 0
+    for g, n in levels(6):
+        c1, c2 = one.correlator(g, n), two.correlator(g, n)
+        assert set(c1.entries) == set(c2.entries), (g, n)
+        for key, v in c1.entries.items():
+            assert set(c2.entries[key].terms) == set(v.terms), (g, n, key)
+            for (e, h), c in v.terms.items():
+                assert e == 0
+                want = c * F(2) ** (sum(key) - g + 1 + hweight(h))
+                assert c2.entries[key].terms[(e, h)] == want, (g, n, key, h)
+                terms += 1
+        assert {key: v.subs_eps(2) for key, v in graded.correlator(g, n).entries.items()} == c2.entries
+    assert terms > 1000
+
+
+def test_a_curve_fitting_no_grading_is_refused():
+    # y = z + eps z^3: the z term fits only weight 0, the z^3 term neither
+    y = ZSeries({1: ParamPoly.one(), 3: ParamPoly.eps(1)}, order=6, parity=1)
+    with pytest.raises(ValueError, match="no eps grading"):
+        Engine(SpectralCurve("k", y, 6))
+
+
+# sha256 of the canonical JSON of every correlator up to level 6, as the
+# CLI's engines computed them on ZSeries of ParamPoly
+WEAK_DIGESTS = {
+    "weak-k": "1259470da1b296d2446f1278fcfdaea2a12c2acad10530d1bbd5a0b2151d79ba",
+    "weak-j": "53f2d2fc85c191c7c25e94f2955391c558dca145f48d2c2d3213e2b73fba9ec4",
+}
+
+
+@pytest.mark.parametrize("family", sorted(WEAK_DIGESTS))
+def test_weak_correlators_match_pinned_digests(family):
+    eng = _engine(family, *_top(6))
+    blob = json.dumps([eng.correlator(g, n).to_json() for g, n in levels(6)],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == WEAK_DIGESTS[family]
 
 
 @pytest.mark.parametrize("family", ["k", "j", "kstar"])
@@ -227,14 +279,35 @@ def test_insufficient_order_is_loud():
 
 
 def test_weight_cap_does_not_change_results():
-    a = Engine(build_curve("weak-k", required_order(1, 2), n_h=4, h_weight_cap=4))
-    b = Engine(build_curve("weak-k", required_order(1, 2), n_h=4, h_weight_cap=None))
-    for gn in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-        assert a.correlator(*gn).entries == b.correlator(*gn).entries
+    # the uncapped engine packs under a bound no weight reaches, and asserts
+    # so: a carry between packed exponents would fail it or change a value
+    gns = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (0, 5)]
+    order = max(required_order(*gn) for gn in gns)
+    for family in ("weak-k", "weak-j"):
+        a = Engine(build_curve(family, order, n_h=4, h_weight_cap=4))
+        b = Engine(build_curve(family, order, n_h=4, h_weight_cap=None))
+        for gn in gns:
+            assert a.correlator(*gn).entries == b.correlator(*gn).entries, (family, gn)
 
 
-def test_loop_equation_residual(kw_engine, k_engine, j_engine):
-    for eng in (kw_engine, k_engine, j_engine):
+@pytest.mark.parametrize("family", ["weak-k", "weak-j"])
+def test_a_lower_cap_drops_exactly_the_terms_over_it(family):
+    # h-weights are non-negative and add, so a cap c removes the terms of
+    # h-weight over c from every entry and changes no other term
+    order = required_order(2, 2)
+    full = Engine(build_curve(family, order, n_h=5, h_weight_cap=None))
+    for cap in range(4):
+        eng = Engine(build_curve(family, order, n_h=5, h_weight_cap=cap))
+        for gn in [(0, 4), (1, 3), (2, 1), (2, 2)]:
+            want = {}
+            for key, v in full.correlator(*gn).entries.items():
+                if t := {m: c for m, c in v.terms.items() if hweight(m[1]) <= cap}:
+                    want[key] = t
+            assert {key: v.terms for key, v in eng.correlator(*gn).entries.items()} == want, (cap, gn)
+
+
+def test_loop_equation_residual(kw_engine, k_engine, j_engine, weak_k_engine, weak_j_engine):
+    for eng in (kw_engine, k_engine, j_engine, weak_k_engine, weak_j_engine):
         for gn in [(0, 3), (1, 1), (1, 2), (2, 1)]:
             assert eng.loop_equation_negative_residual(*gn)
 
