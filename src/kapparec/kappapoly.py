@@ -64,9 +64,8 @@ def multiset_splits(mu: Sequence[int]) -> list[Split]:
 
     alpha and beta come out sorted ascending.  Uncached: the recursion
     engine meets many distinct keys, and a cache for them costs more memory
-    than it saves time; the intersection oracle and the tautools product
-    rows, which ask for the same few keys over and over, use
-    ``cached_multiset_splits``.
+    than it saves time; the oracle's DVV recursion, which asks for the same
+    few keys over and over, uses ``cached_multiset_splits``.
     """
     out = [((), (), 1)]
     for v, m in sorted(multiplicities(mu).items()):

@@ -174,7 +174,6 @@ class ParamPoly:
 
     def __mul__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             if not other:
                 return ParamPoly()
             return ParamPoly.raw({k: c * other for k, c in self.terms.items()})

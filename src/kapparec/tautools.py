@@ -5,33 +5,43 @@ A potential is stored per (g, sorted t-monomial) as the plain monomial
 coefficient, so F = sum C[g, mono] hbar^g prod t_mono with the 1/aut factors
 already inside C.  Tables are complete for 2g-2+n <= budget, which is what
 makes residual rows provably determined.
+
+Constraints are term maps {(g, mono): coefficient} built once per potential:
+derivative maps of F, products of two of them over the nonzero pairs whose
+levels 2g+len(mono) sum to a row level in range, and shifts.  Rows are read
+off the maps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Mapping
 
 from .intersect import IntersectionOracle
-from .kappapoly import aut, cached_multiset_splits
+from .kappapoly import aut
 from .parampoly import PP_ZERO, ParamPoly, add_terms, mul_terms
 from .rationals import fact, odd_df
 from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
 
 Mono = tuple[int, ...]
 Entry = tuple[int, Mono]
+Terms = dict[Entry, ParamPoly]
+
+
+def _times(k1: Entry, k2: Entry) -> Entry:
+    return k1[0] + k2[0], tuple(sorted(k1[1] + k2[1]))
 
 
 class Potential:
-    """A potential table.  ``memo`` holds the coefficients read off it so far:
-    derivatives under (g, mono, ds) (``_dcoeff``) and products under
-    (g, mono, da, db) (``_product_coeff``).  Whoever changes ``coeffs`` clears
-    it."""
+    """A potential table.  ``_maps`` memoizes the derivative, product and
+    constraint maps read off it, shared with every caller, which copies a map
+    before changing it; ``merge`` is the one way to change the table."""
 
     def __init__(self, coeffs: dict[Entry, ParamPoly], budget: int):
         self.coeffs = {k: v for k, v in coeffs.items() if v}
         self.budget = budget
-        self.memo: dict[tuple, ParamPoly] = {}
+        self._maps: dict[tuple, Terms] = {}
 
     def coeff(self, g: int, mono: Mono) -> ParamPoly:
         return self.coeffs.get((g, tuple(sorted(mono))), PP_ZERO)
@@ -39,11 +49,50 @@ class Potential:
     def items(self):
         return sorted(self.coeffs.items())
 
+    def merge(self, level: Terms) -> None:
+        """Add entries to the table and drop every map derived from it."""
+        self.coeffs.update(level)
+        self._maps.clear()
+
     def perturbed(self, g: int, mono: Mono, delta: Fraction = Fraction(1)) -> "Potential":
         c = dict(self.coeffs)
         key = (g, tuple(sorted(mono)))
         c[key] = c.get(key, PP_ZERO) + ParamPoly.const(delta)
         return Potential(c, self.budget)
+
+    def deriv(self, ds: Mono) -> Terms:
+        """The map of the derivative of F by t_d for each d in ds: t^key goes
+        to key minus d times key.count(d), one d at a time, each prefix of
+        the sorted ds memoized."""
+        ds = tuple(sorted(ds))
+        if not ds:
+            return self.coeffs
+        out = self._maps.get(ds)
+        if out is None:
+            out = self._maps[ds] = {}
+            for (g, key), c in self.deriv(ds[:-1]).items():
+                if n := key.count(ds[-1]):
+                    i = key.index(ds[-1])
+                    out[(g, key[:i] + key[i + 1 :])] = c * n if n > 1 else c
+        return out
+
+    def product(self, da: Mono, db: Mono, lo: int, hi: int) -> Terms:
+        """The map of (d_{da} F)(d_{db} F) on the levels lo..hi: the factors
+        are grouped by level, and two groups are multiplied only when their
+        levels sum into range.  Both orders of da, db share one memo key."""
+        da, db = sorted((tuple(sorted(da)), tuple(sorted(db))))
+        out = self._maps.get((da, db, lo, hi))
+        if out is None:
+            out = self._maps[(da, db, lo, hi)] = {}
+            ga, gb = ({}, {})
+            for group, ds in ((ga, da), (gb, db)):
+                for key, c in self.deriv(ds).items():
+                    group.setdefault(2 * key[0] + len(key[1]), {})[key] = c
+            for la, ta in ga.items():
+                for lb, tb in gb.items():
+                    if lo <= la + lb <= hi:
+                        add_terms(out, mul_terms(ta, tb, _times).items())
+        return out
 
     @staticmethod
     def from_engine(engine: Engine, budget: int) -> "Potential":
@@ -67,67 +116,64 @@ class Potential:
         return Potential(coeffs, budget)
 
 
-# -- derivative / product coefficient extraction --------------------------------
+def _add(out: Terms, terms: Terms, c, lo: int, hi: int, dg: int = 0, v: Mono = ()) -> None:
+    """Add terms times c into out, each key (g, mono) moved to (g+dg, mono+v);
+    keys that land outside the levels lo..hi are skipped."""
+    up = 2 * dg + len(v)
+    keep = (item for item in terms.items() if lo <= 2 * item[0][0] + len(item[0][1]) + up <= hi)
+    add_terms(out, (((g + dg, tuple(sorted(mono + v))), t * c) for (g, mono), t in keep))
 
 
-def _dcoeff(F: Potential, g: int, mono: Mono, ds: Mono) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in the derivative of F by t_d for each d in ds.
-
-    Inserting d into a monomial that already holds it c times gives the factor
-    c + 1; the factors multiply as each d is inserted in turn.  Memoized on F:
-    the rows ask for the same coefficients many times over.
-    """
-    c = F.memo.get((g, mono, ds))
-    if c is None:
-        key = mono
-        factor = 1
-        for d in ds:
-            key += (d,)
-            factor *= key.count(d)
-        c = F.coeffs.get((g, tuple(sorted(key))), PP_ZERO)
-        if factor != 1 and c:
-            c = c * Fraction(factor)
-        F.memo[(g, mono, ds)] = c
-    return c
-
-
-def _product_coeff(F: Potential, g: int, mono: Mono, da: Mono, db: Mono) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in (d_{da} F)(d_{db} F).
-
-    Memoized on F under one key for both orders of da and db: the product
-    commutes, and the m-th constraint asks for both.
-    """
-    if db < da:
-        da, db = db, da
-    total = F.memo.get((g, mono, da, db))
-    if total is None:
-        total = PP_ZERO
-        splits = cached_multiset_splits(mono)
-        for g1 in range(0, g + 1):
-            for alpha, beta, _ in splits:
-                c1 = _dcoeff(F, g1, alpha, da)
-                if not c1:
-                    continue
-                c2 = _dcoeff(F, g - g1, beta, db)
-                if c2:
-                    total = total + c1 * c2
-        F.memo[(g, mono, da, db)] = total
-    return total
-
-
-def _residuals(rows, residual) -> tuple[int, dict[Entry, ParamPoly]]:
-    """(rows checked, nonzero residual entries) of residual(g, mono) over rows."""
-    checked = 0
-    bad: dict[Entry, ParamPoly] = {}
-    for g, mono in rows:
-        r = residual(g, mono)
-        checked += 1
-        if r:
-            bad[(g, mono)] = r
-    return checked, bad
+def _residuals(rows, residual: Terms) -> tuple[int, dict[Entry, ParamPoly]]:
+    """(rows checked, nonzero residual entries) of the residual map on rows."""
+    rows = list(rows)
+    return len(rows), {row: residual[row] for row in rows if row in residual}
 
 
 # -- Virasoro ----------------------------------------------------------------------
+
+
+def _unshifted(F: Potential, m: int, lo: int, hi: int) -> Terms:
+    """The m-th constraint without its htilde terms, memoized on F."""
+    out = F._maps.get(("G", m, lo, hi))
+    if out is None:
+        out = F._maps[("G", m, lo, hi)] = {}
+        for a in range(0, (m + 1) // 2):
+            # the (a, m-1-a) and (m-1-a, a) terms are equal
+            c = Fraction(odd_df(a) * odd_df(m - 1 - a), 1 if 2 * a < m - 1 else 2)
+            _add(out, F.deriv((a, m - 1 - a)), c, lo, hi, dg=1)
+            _add(out, F.product((a,), (m - 1 - a,), lo, hi), c, lo, hi)
+        for k in {d for _, mono in F.coeffs for d in mono}:
+            if k >= m:
+                _add(out, F.deriv((k,)), Fraction(odd_df(k), odd_df(k - m - 1)), lo, hi, v=(k - m,))
+        if m in (-1, 0):  # t_0^2/2 and hbar/8
+            row = (0, (0, 0)) if m else (1, ())
+            _add(out, {row: ParamPoly.const(1)}, Fraction(1, 2 if m else 8), lo, hi)
+    return out
+
+
+def constraint_map(
+    F: Potential,
+    m: int,
+    htilde: Mapping[int, ParamPoly | Fraction],
+    lo: int = 0,
+    hi: int | None = None,
+) -> Terms:
+    """The m-th constraint applied to F, on the rows (g, mono) whose level
+    2g+len(mono) lies in lo..hi (hi defaults to budget + 1).
+
+    The constraint is
+        1/2 sum_{i+j=m-1} (2i+1)!!(2j+1)!! (hbar F_{t_i t_j} + F_{t_i} F_{t_j})
+        + sum_{k-i=m} (t_i - htilde_{i-1}) (2k+1)!!/(2i-1)!! F_{t_k}
+        + [m=-1] t_0^2/2 + [m=0] hbar/8,
+    with htilde_0 = 1, htilde_{-1} = 0 recovering the unshifted case.
+    """
+    hi = F.budget + 1 if hi is None else hi
+    out = dict(_unshifted(F, m, lo, hi))
+    for i, hv in htilde.items():
+        if m + i + 1 >= 0:
+            _add(out, F.deriv((m + i + 1,)), hv * Fraction(-odd_df(m + i + 1), odd_df(i)), lo, hi)
+    return out
 
 
 def constraint_row(
@@ -137,48 +183,9 @@ def constraint_row(
     mono: Mono,
     htilde: Mapping[int, ParamPoly | Fraction],
 ) -> ParamPoly:
-    """Coefficient of hbar^g t^mono in the m-th constraint applied to F.
-
-    The constraint is
-        1/2 sum_{i+j=m-1} (2i+1)!!(2j+1)!! (hbar F_{t_i t_j} + F_{t_i} F_{t_j})
-        + sum_{k-i=m} (t_i - htilde_{i-1}) (2k+1)!!/(2i-1)!! F_{t_k}
-        + [m=-1] t_0^2/2 + [m=0] hbar/8,
-    with htilde_0 = 1, htilde_{-1} = 0 recovering the unshifted case.
-    """
-    total = PP_ZERO
-    for a in range(0, m):
-        b = m - 1 - a
-        c = Fraction(odd_df(a) * odd_df(b), 2)
-        d2 = _dcoeff(F, g - 1, mono, (a, b))
-        if d2:
-            total = total + d2 * c
-        q = _product_coeff(F, g, mono, (a,), (b,))
-        if q:
-            total = total + q * c
-    for v in set(mono):
-        k = m + v
-        if k < 0:
-            continue
-        rest = list(mono)
-        rest.remove(v)
-        c = _dcoeff(F, g, tuple(rest), (k,))
-        if c:
-            total = total + c * Fraction(odd_df(k), odd_df(v - 1))
-    for i, hv in htilde.items():
-        k = m + i + 1
-        if k < 0:
-            continue
-        c = _dcoeff(F, g, mono, (k,))
-        if not c:
-            continue
-        term = c * Fraction(odd_df(k), odd_df(i))
-        hv = hv if isinstance(hv, ParamPoly) else ParamPoly.const(hv)
-        total = total - hv * term
-    if m == -1 and g == 0 and mono == (0, 0):
-        total = total + Fraction(1, 2)
-    if m == 0 and g == 1 and mono == ():
-        total = total + Fraction(1, 8)
-    return total
+    """Coefficient of hbar^g t^mono in the m-th constraint applied to F."""
+    lvl = 2 * g + len(mono)
+    return constraint_map(F, m, htilde, lvl, lvl).get((g, tuple(sorted(mono))), PP_ZERO)
 
 
 def _determined_rows(budget: int, m: int):
@@ -204,9 +211,7 @@ def virasoro_rows(
     Returns (rows checked, nonzero residual entries); an empty dict means the
     constraint holds to the table's truncation.
     """
-    return _residuals(
-        _determined_rows(F.budget, m), lambda g, mono: constraint_row(F, m, g, mono, htilde)
-    )
+    return _residuals(_determined_rows(F.budget, m), constraint_map(F, m, htilde))
 
 
 def htilde_unshifted() -> dict[int, Fraction]:
@@ -222,14 +227,10 @@ def virk_rows(F: Potential, m: int, with_eps: bool = True) -> tuple[int, dict[En
     """
     if m < 0:
         raise ValueError("virK constraints start at m = 0")
-    empty: dict[int, Fraction] = {}
-
-    def residual(g: int, mono: Mono) -> ParamPoly:
-        rhs = constraint_row(F, m, g, mono, empty)
-        if with_eps:
-            rhs = rhs + ParamPoly.eps(1) * constraint_row(F, m - 1, g, mono, empty)
-        return _dcoeff(F, g, mono, (m,)) * Fraction(odd_df(m)) - rhs
-
+    residual = {k: v * odd_df(m) for k, v in F.deriv((m,)).items()}
+    _add(residual, _unshifted(F, m, 0, F.budget + 1), -1, 0, F.budget + 1)
+    if with_eps:
+        _add(residual, _unshifted(F, m - 1, 0, F.budget + 1), ParamPoly.eps(1, -1), 0, F.budget + 1)
     return _residuals(_determined_rows(F.budget, m), residual)
 
 
@@ -237,21 +238,21 @@ def bgw_bootstrap(budget: int) -> Potential:
     """Solve the eps = 0 constraints (2m+1)!! dF/dt_m = G_m(F) from scratch.
 
     The constraints determine the potential uniquely level by level; entry
-    (m, mu) is read off the constraint indexed by its largest exponent.  Each
-    level is merged into the table once it is complete, so no row reads a
-    half-written level, and the memo is cleared with it.
+    (m, mu) is read off the constraint indexed by its largest exponent, on
+    the row (g, mu) one below the entry's level 2g+n.  Those rows read only
+    lower levels, so each level's constraint maps are computed at that level
+    alone, and the level is merged into the table once it is complete.
     """
     F = Potential({}, budget)
-    empty: dict[int, Fraction] = {}
-    for g, n in levels(budget):
-        level: dict[Entry, ParamPoly] = {}
-        for key in _sorted_tuples(n, 3 * g - 3 + n):
-            m = key[-1]
-            rhs = constraint_row(F, m, g, key[:-1], empty)
-            if rhs:
-                level[(g, key)] = rhs * Fraction(1, odd_df(m) * key.count(m))
-        F.coeffs.update(level)
-        F.memo.clear()
+    for lvl, gns in groupby(levels(budget), lambda gn: 2 * gn[0] + gn[1]):
+        level: Terms = {}
+        for g, n in gns:
+            for key in _sorted_tuples(n, 3 * g - 3 + n):
+                m = key[-1]
+                rhs = _unshifted(F, m, lvl - 1, lvl - 1).get((g, key[:-1]))
+                if rhs:
+                    level[(g, key)] = rhs * Fraction(1, odd_df(m) * key.count(m))
+        F.merge(level)
     return F
 
 
@@ -269,12 +270,10 @@ def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
         for n_out in range(0, F.budget - 2 * g)
         for mono in _sorted_tuples(n_out, 3 * g + n_out + 1)
     )
-    return _residuals(
-        rows,
-        lambda g, mono: _dcoeff(F, g, mono, (0, 0, 1))
-        - _product_coeff(F, g, mono, (0, 0), (0, 0, 0))
-        - _dcoeff(F, g - 1, mono, (0,) * 5) * Fraction(1, 12),
-    )
+    residual = dict(F.deriv((0, 0, 1)))
+    _add(residual, F.product((0, 0), (0, 0, 0), 0, F.budget - 1), -1, 0, F.budget - 1)
+    _add(residual, F.deriv((0,) * 5), Fraction(-1, 12), 0, F.budget - 1, dg=1)
+    return _residuals(rows, residual)
 
 
 # -- genus 1 closed form ---------------------------------------------------------

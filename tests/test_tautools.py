@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
 from kapparec.coeffs import h_star, htilde_weak
+from kapparec.kappapoly import multiset_splits
+from kapparec.parampoly import ParamPoly
+from kapparec.rationals import odd_df
 from kapparec.tautools import (
     Potential,
     _determined_rows,
     bgw_bootstrap,
-    constraint_row,
     genus1_closed_form,
     htilde_unshifted,
     kdv_residual,
     virasoro_rows,
     virk_rows,
 )
+from kapparec.toprec import _sorted_tuples
 
 # determined rows of the m-th constraint on a budget-8 table (KW Virasoro
 # m = -1..4; the BGW virK rows for m >= 0 are the same rows)
@@ -45,27 +51,122 @@ def test_kw_virasoro_all_m(kw_pot):
         assert not bad, (m, list(bad)[:3])
 
 
-def test_memo_changes_no_value(kw_pot, bgw_pot, k_pot):
-    # every determined row, read off a potential whose memo the row checks
-    # have filled, equals the same row on a copy that starts with none
-    for pot, ht, ms in (
-        (kw_pot, htilde_unshifted(), range(-1, 5)),
-        (bgw_pot, {}, range(0, 5)),
-        (k_pot, {}, range(0, 4)),
-    ):
-        for m in ms:
-            virasoro_rows(pot, m, ht)
-        kdv_residual(pot)
-        assert pot.memo
-        fresh = Potential(dict(pot.coeffs), pot.budget)
-        for m in ms:
-            for g, mono in _determined_rows(pot.budget, m):
-                assert constraint_row(pot, m, g, mono, ht) == constraint_row(fresh, m, g, mono, ht), (m, g, mono)
+# -- an independent row reference: each row enumerates the splits of its monomial
+
+
+@lru_cache(maxsize=None)
+def ref_dcoeff(pot, g, mono, ds):
+    # inserting d into a monomial that already holds it c times gives c + 1
+    key, factor = mono, 1
+    for d in ds:
+        key += (d,)
+        factor *= key.count(d)
+    return pot.coeff(g, key) * factor
+
+
+@lru_cache(maxsize=None)
+def ref_product(pot, g, mono, da, db):
+    total = ParamPoly.zero()
+    for g1 in range(0, g + 1):
+        for alpha, beta, _ in multiset_splits(mono):
+            total = total + ref_dcoeff(pot, g1, alpha, da) * ref_dcoeff(pot, g - g1, beta, db)
+    return total
+
+
+def ref_constraint_row(pot, m, g, mono, htilde):
+    total = ParamPoly.zero()
+    for a in range(0, m):
+        b = m - 1 - a
+        c = F(odd_df(a) * odd_df(b), 2)
+        total = total + (ref_dcoeff(pot, g - 1, mono, (a, b)) + ref_product(pot, g, mono, (a,), (b,))) * c
+    for v in set(mono):
+        if m + v >= 0:
+            rest = list(mono)
+            rest.remove(v)
+            total = total + ref_dcoeff(pot, g, tuple(rest), (m + v,)) * F(odd_df(m + v), odd_df(v - 1))
+    for i, hv in htilde.items():
+        k = m + i + 1
+        if k >= 0:
+            total = total - hv * ref_dcoeff(pot, g, mono, (k,)) * F(odd_df(k), odd_df(i))
+    if m == -1 and g == 0 and mono == (0, 0):
+        total = total + F(1, 2)
+    if m == 0 and g == 1 and mono == ():
+        total = total + F(1, 8)
+    return total
+
+
+def ref_virk_row(pot, m, with_eps, g, mono):
+    rhs = ref_constraint_row(pot, m, g, mono, {})
+    if with_eps:
+        rhs = rhs + ParamPoly.eps(1) * ref_constraint_row(pot, m - 1, g, mono, {})
+    return ref_dcoeff(pot, g, mono, (m,)) * odd_df(m) - rhs
+
+
+def ref_kdv_row(pot, g, mono):
+    return (
+        ref_dcoeff(pot, g, mono, (0, 0, 1))
+        - ref_product(pot, g, mono, (0, 0), (0, 0, 0))
+        - ref_dcoeff(pot, g - 1, mono, (0,) * 5) * F(1, 12)
+    )
+
+
+def kdv_rows(budget):
+    for g in range(0, budget + 1):
+        for n_out in range(0, budget - 2 * g):
+            yield from ((g, mono) for mono in _sorted_tuples(n_out, 3 * g + n_out + 1))
+
+
+def matches_reference(result, rows, ref):
+    # the (rows, bad) pair equals the reference's rows and nonzero values;
+    # returns whether any row is nonzero
+    want = {row: r for row in rows if (r := ref(*row))}
+    assert result == (len(rows), want)
+    return bool(want)
+
+
+def test_maps_match_row_reference(kw_pot, bgw_pot, k_pot, weak_k_engine, weak_j_engine):
+    # every determined row of the map form equals the per-row evaluation, on
+    # each table and on a perturbed copy, where some residuals are nonzero
+    cases = [
+        (kw_pot, htilde_unshifted(), range(-1, 5), None, (1, (1,))),
+        (bgw_pot, None, range(0, 5), False, (2, (1,))),
+        (k_pot, None, range(0, 5), True, (1, (1,))),
+    ]
+    for style, eng in (("k", weak_k_engine), ("j", weak_j_engine)):
+        cases.append((Potential.from_engine(eng, 4), htilde_weak(style, 7, 12), range(-1, 3), None, (1, (1,))))
+    for pot, ht, ms, with_eps, key in cases:
+        for p in (pot, pot.perturbed(*key)):
+            nonzero = False
+            for m in ms:
+                rows = list(_determined_rows(p.budget, m))
+                if ht is None:
+                    got, ref = virk_rows(p, m, with_eps), lambda g, mono: ref_virk_row(p, m, with_eps, g, mono)
+                else:
+                    got, ref = virasoro_rows(p, m, ht), lambda g, mono: ref_constraint_row(p, m, g, mono, ht)
+                nonzero |= matches_reference(got, rows, ref)
+            got, ref = kdv_residual(p), lambda g, mono: ref_kdv_row(p, g, mono)
+            nonzero |= matches_reference(got, list(kdv_rows(p.budget)), ref)
+            assert nonzero == (p is not pot), key
+    ref_dcoeff.cache_clear()
+    ref_product.cache_clear()
+
+
+def test_bgw_bootstrap_digest(bgw_pot):
+    # sha256 of the budget-8 table's sorted to_triples, as the per-row
+    # bootstrap that merged one (g, n) at a time computed it
+    blob = json.dumps([[g, list(mono), c.to_triples()] for (g, mono), c in bgw_pot.items()], separators=(",", ":"))
+    want = "bd6133198c313d5243ee9e1cabde20b989952fba6da15881b15c79435a11c6d7"
+    assert hashlib.sha256(blob.encode()).hexdigest() == want
+    # merge drops the maps read off the table before it
+    pot = Potential({(1, (0,)): ParamPoly.const(1)}, 2)
+    assert pot.deriv((0,)) == {(1, ()): ParamPoly.const(1)}
+    pot.merge({(1, (0, 0)): ParamPoly.const(1)})
+    assert pot.deriv((0,)) == {(1, ()): ParamPoly.const(1), (1, (0,)): ParamPoly.const(2)}
 
 
 def test_perturbation_is_detected(kw_pot, bgw_pot):
-    # each check runs on the original first, so its memo is full: a perturbed
-    # copy must not read it, and the original must still pass afterwards
+    # each check runs on the original first, so its maps are built: a
+    # perturbed copy must not read them, and the original must still pass
     for pot, check, key in (
         (kw_pot, lambda F: virasoro_rows(F, 0, htilde_unshifted()), (1, (1,))),
         (bgw_pot, lambda F: virk_rows(F, 1, with_eps=False), (2, (1,))),
