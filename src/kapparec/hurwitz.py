@@ -212,9 +212,10 @@ def expand_at_one(corr: Correlator, partition: Sequence[int]) -> Fraction:
         raise ValueError("outside stable range")
     dim = 3 * corr.g - 3 + n
     total = Fraction(0)
+    entries = dict(corr.entries)
     for exps in _all_tuples(n, dim):
-        v = corr.value(tuple(sorted(exps)))
-        if not v:
+        v = entries.get(tuple(sorted(exps)))
+        if v is None:
             continue
         c = v.as_fraction()
         for e, k in zip(exps, partition):

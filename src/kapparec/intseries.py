@@ -9,16 +9,17 @@ z^j h^alpha sits at the key ``(j << pack.zshift) | pack.pack(alpha)``, so
 keys add as the monomials multiply and sort by exponent first.  With no h
 (an empty pack) the key is j and the value at z^j is ``coeffs[j] / den``.
 
-Nothing is reduced: a product multiplies the denominators, a sum rescales
-to the lcm of its terms' denominators, and no gcd is taken until a caller
-turns a numerator into a ``Fraction``.  Integer multiply-adds are several
-times cheaper than ``Fraction`` ones, which normalise after every operation.
+Products and sums reduce nothing: a product multiplies the denominators,
+and a sum rescales to the lcm of its terms' denominators.  A gcd is taken
+only by ``reduced`` (each step of ``invert``) and by the engine's read-off.
+Integer multiply-adds are several times cheaper than ``Fraction`` ones,
+which normalise after every operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .parampoly import hweight
@@ -123,6 +124,14 @@ class IntSeries:
                     out[j] = get(j, 0) + c1 * c2
         return IntSeries(_kept(out, pack), den, pack)
 
+    def reduced(self) -> "IntSeries":
+        """The same series with the gcd of den and the numerators divided
+        out, so that den is the lcm of its values' denominators."""
+        g = gcd(self.den, *self.coeffs.values())
+        if g == 1:
+            return self
+        return IntSeries({j: c // g for j, c in self.coeffs.items()}, self.den // g, self.pack, self.order)
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -152,3 +161,45 @@ class IntSeries:
                     break
                 out[j] = get(j, 0) + c1 * c2
         return IntSeries(_kept(out, self.pack), self.den * other.den, self.pack, order)
+
+    def invert(self, out_order: int | None = None) -> "IntSeries":
+        """Multiplicative inverse, reduced, with the provable order and the
+        ValueErrors of zseries.series_invert: the leading coefficient must
+        be a single term free of h, and an exactly-known series needs
+        ``out_order``.  Each step drops its terms over the h-weight cap,
+        which is exact because h-weights are non-negative and add.
+        """
+        if not self.coeffs:
+            raise ValueError("cannot invert the zero series")
+        zs = self.pack.zshift
+        lo = min(self.coeffs)
+        b = lo >> zs
+        if lo != b << zs or any(j >> zs == b for j in self.coeffs if j != lo):
+            raise ValueError("leading term not a unit")
+        if self.order is None:
+            if out_order is None:
+                raise ValueError("out_order required to invert an exact series")
+            rel = out_order + b
+        else:
+            rel = self.order - b if out_order is None else min(self.order - b, out_order + b)
+        if rel <= 0:
+            raise ValueError("insufficient truncation order for inversion")
+        # self = (c0/den) z^b (1 + r) with r_j = coeff(b+j)/c0, and 1/(1+r)
+        # = sum d_k z^k with d_0 = 1, d_k = -sum_{0<j<=k} r_j d_{k-j}; each
+        # r_j and d_k is a series at the single exponent j or k
+        pack, c0 = self.pack, self.coeffs[lo]
+        sign = 1 if c0 > 0 else -1
+        parts: dict[int, dict[int, int]] = {}
+        for j, c in self.coeffs.items():
+            if j != lo:
+                parts.setdefault((j >> zs) - b, {})[j - lo] = sign * c
+        r = {j: IntSeries(t, sign * c0, pack).reduced() for j, t in parts.items()}
+        d = {0: IntSeries({0: 1}, 1, pack)}
+        for k in range(1, rel):
+            dk = IntSeries.sum_of_products(None, [(rj, d[k - j], -1) for j, rj in r.items() if k - j in d], pack)
+            if dk.coeffs:
+                d[k] = dk.reduced()
+        lead = IntSeries({-lo: sign * self.den}, sign * c0, pack)  # z^-b den/c0
+        inv = IntSeries.sum_of_products(None, [(lead, dk, 1) for dk in d.values()], pack).reduced()
+        inv.order = rel - b
+        return inv

@@ -20,17 +20,24 @@ algebraic curves and topological expansion"), so the other slots would
 repeat it.  Engine.all_slots_agree rebuilds every entry from each of its
 slots and compares the copies exactly.
 
-Slices, W and 1/(2 eta) live in an integer core at eps = 1 (IntSeries):
-integer numerators over one shared denominator, with no gcd taken until
-read-off, where an entry becomes Fraction(num, den * (2k_1+1)!!).  A key
-packs the z-exponent with an h-monomial, and products drop the monomials
-over the h-weight cap; on a curve whose y has no h (kw, k, j, bgw, kstar)
-the packing is empty and a key is just the exponent, while weak-k and
-weak-j carry formal h_i.  eps comes back from a grading
+The recursion runs in an integer core at eps = 1 (IntSeries), from the
+lowered y to the read-off: slices, W and 1/(2 eta) are integer numerators
+over one shared denominator, and 1/(2 eta) is inverted there.  A key packs
+the z-exponent with an h-monomial, and products drop the monomials over
+the h-weight cap; on a curve whose y has no h (kw, k, j, bgw, kstar) the
+packing is empty and a key is just the exponent, while weak-k and weak-j
+carry formal h_i.  eps comes back from a grading
 (SpectralCurve.eps_weight): y is quasi-homogeneous of degree -1 under
 z -> l z, eps -> l^2 eps, h_i -> l^(-2i) h_i, so the term h^alpha of the
 entry at k of w_{g,n} carries eps^(sum(k)-g+1+hweight(alpha)); kw, bgw and
-kstar have no eps.  Correlator entries are ParamPoly.
+kstar have no eps.
+
+A Correlator stores each entry only in that integer form (a Form): a
+positive denominator and (packed h-key, numerator) pairs sorted by key,
+reduced to gcd(den, numerators) = 1, so equal entries have equal forms.
+Slices and diagonals are summed from these forms directly.  The ParamPoly
+of an entry (eps restored, Fraction coefficients) is a view, built whenever
+a caller reads it and never kept.
 
 Computed correlators are immutable and the per-engine table is append-only
 with deterministic, schedule-independent entries; the slices built from it
@@ -39,15 +46,17 @@ are memoized on the engine for the same reason.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .coeffs import htilde_weak
 from .intseries import HPacking, IntSeries
 from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, hweight
 from .rationals import odd_df
-from .zseries import ZSeries, series_invert
+from .zseries import ZSeries
 
 FAMILIES = ("kw", "k", "j", "weak-k", "weak-j", "bgw", "kstar")
 
@@ -57,7 +66,8 @@ class InsufficientOrderError(Exception):
 
 
 class SpectralCurve:
-    """Odd y-series together with the derived inverse of 2*eta."""
+    """Odd y-series together with its h-packing and the derived inverse of
+    2*eta in the integer core."""
 
     def __init__(self, family: str, y: ZSeries, order: int, n_h: int = 0,
                  h_weight_cap: int | None = None):
@@ -71,7 +81,12 @@ class SpectralCurve:
         self.order = order
         self.n_h = n_h
         self.h_weight_cap = h_weight_cap
-        self._inv2eta: ZSeries | None = None
+        # an uncapped curve packs under twice its order, a bound its weights
+        # do not reach (they stay below about half the order)
+        n = max((len(h) for c in y.coeffs.values() for _, h in c.terms), default=0)
+        cap = h_weight_cap if n else 0  # no h: the empty packing
+        self.pack = HPacking(n, 2 * order if cap is None else cap, cap is not None)
+        self._inv2eta: IntSeries | None = None
 
     def eps_weight(self) -> int:
         """0 when no term of y carries eps; 1 when every term h^alpha at z^j
@@ -91,16 +106,27 @@ class SpectralCurve:
     def eta_over_dz(self) -> ZSeries:
         return self.y.shift(1)
 
-    def inv2eta(self) -> ZSeries:
-        """1/(2 eta/dz), not cut at h_weight_cap: the integer core drops the
-        terms over the cap when it lowers it, and h-weights are non-negative
-        and add."""
+    def lower(self, s: ZSeries, f: int = 1) -> IntSeries:
+        """f*s at eps = 1 in the integer core, without its terms over the
+        h-weight cap."""
+        pack = self.pack
+        return IntSeries.from_terms(
+            (((j << pack.zshift) | key, c, f)
+             for j, v in s.coeffs.items()
+             for (_, h), c in v.terms.items()
+             if (key := pack.pack(h)) is not None),
+            pack, s.order)
+
+    def two_eta(self) -> IntSeries:
+        return self.lower(self.eta_over_dz(), 2)
+
+    def inv2eta(self) -> IntSeries:
+        """1/(2 eta/dz) in the integer core: the lowered 2 eta/dz inverted on
+        IntSeries, with the terms over h_weight_cap dropped at each step.  An
+        exactly-known eta is inverted up to z^(order-1)."""
         if self._inv2eta is None:
-            two_eta = self.eta_over_dz().scale(2)
-            if two_eta.order is None:
-                self._inv2eta = series_invert(two_eta, out_order=self.order)
-            else:
-                self._inv2eta = series_invert(two_eta)
+            two_eta = self.two_eta()
+            self._inv2eta = two_eta.invert(self.order if two_eta.order is None else None)
         return self._inv2eta
 
 
@@ -140,25 +166,47 @@ def build_curve(family: str, order: int, n_h: int = 0,
     return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=h_weight_cap)
 
 
+# an entry in integer form: (den, ((packed h-key, numerator), ...))
+Form = tuple[int, tuple[tuple[int, int], ...]]
+
+
 class Correlator:
-    """Finite symmetric table (k_1..k_n) -> ParamPoly for fixed (g, n)."""
+    """Finite symmetric table for fixed (g, n): each sorted key (k_1..k_n)
+    holds its entry's Form; ``entries``, ``value``, ``items`` and
+    ``to_json`` read ParamPoly views of them."""
 
-    __slots__ = ("g", "n", "entries")
+    __slots__ = ("g", "n", "forms", "_ring")
 
-    def __init__(self, g: int, n: int, entries: dict[tuple[int, ...], ParamPoly]):
+    def __init__(self, g: int, n: int, forms: dict[tuple[int, ...], Form], ring: _IntRing):
         self.g = g
         self.n = n
-        self.entries = entries
+        self.forms = forms
+        self._ring = ring
+
+    def form(self, key: tuple[int, ...]) -> Form | None:
+        return self.forms.get(tuple(sorted(key)))
+
+    def view(self, key: tuple[int, ...], form: Form) -> ParamPoly:
+        return self._ring.view(sum(key) - self.g + 1, form)
+
+    @property
+    def entries(self) -> _EntryView:
+        return _EntryView(self)
 
     def value(self, key: tuple[int, ...]) -> ParamPoly:
-        return self.entries.get(tuple(sorted(key)), PP_ZERO)
+        f = self.form(key)
+        return PP_ZERO if f is None else self.view(key, f)
 
     def items(self):
         return sorted(self.entries.items())
 
     def min_eps_valuation(self) -> int | None:
-        vals = [c.eps_valuation() for c in self.entries.values() if c]
-        return min(vals) if vals else None
+        if not self.forms:
+            return None
+        # pairs are sorted by h-key, whose top field is the h-weight
+        ws = self._ring.pack.wshift
+        low = min(sum(key) + (pairs[0][0] >> ws) for key, (_, pairs) in self.forms.items())
+        return self._ring.weight * (low - self.g + 1)
 
     def to_json(self) -> dict:
         return {
@@ -169,6 +217,25 @@ class Correlator:
                 {"k": list(k), "coeff": c.to_triples()} for k, c in self.items()
             ],
         }
+
+
+class _EntryView(Mapping):
+    """A Correlator's entries as ParamPoly, each built when it is read and
+    never kept; its length and keys are the stored forms'."""
+
+    __slots__ = ("_corr",)
+
+    def __init__(self, corr: Correlator):
+        self._corr = corr
+
+    def __getitem__(self, key: tuple[int, ...]) -> ParamPoly:
+        return self._corr.view(key, self._corr.forms[key])
+
+    def __iter__(self):
+        return iter(self._corr.forms)
+
+    def __len__(self) -> int:
+        return len(self._corr.forms)
 
 
 @lru_cache(maxsize=None)
@@ -196,79 +263,79 @@ def levels(budget: int) -> list[tuple[int, int]]:
 
 
 class _IntRing:
-    """The integer core at eps = 1: IntSeries whose keys pack the z-exponent
-    with an h-monomial (HPacking).  On a curve whose y has no h (kw, k, j,
-    bgw, kstar) the packing is empty and a key is its exponent.  Monomials
-    over the h-weight cap are dropped when a series is lowered and after
-    every product; an uncapped curve packs under twice its order, a bound
-    its weights do not reach (they stay below about half the order).
+    """The integer core at eps = 1: IntSeries keyed by the curve's HPacking.
+    On a curve whose y has no h (kw, k, j, bgw, kstar) the packing is empty
+    and a key is its exponent; monomials over the h-weight cap are dropped
+    after every product.
 
-    A ring gives the engine ``series`` (the exact even series sum v*f*z^e
-    over (e, ParamPoly v, int f) triples, None when zero), ``w_sum`` (a
-    series plus the (s1, s2, ways) pair products), ``product`` (W times
-    1/(2 eta) up to z^hi), ``entries`` (its poles as ParamPoly entries, eps
-    restored from the grading) and ``two_eta`` for the loop-equation check.
+    A ring gives the engine ``series`` (the even series sum f*value*z^e
+    over (e, Form, int f) triples, None when zero), ``w_sum`` (a series
+    plus the (s1, s2, ways) pair products), ``product`` (W times 1/(2 eta)
+    up to z^hi), ``entries`` (its poles as reduced Forms) and ``view`` (a
+    Form as a ParamPoly, eps restored from the grading).
     """
 
-    def __init__(self, curve: SpectralCurve, weight: int, n: int):
+    def __init__(self, curve: SpectralCurve, weight: int):
         self.curve = curve
         self.weight = weight
-        cap = curve.h_weight_cap if n else 0  # no h: the empty packing
-        self.pack = HPacking(n, 2 * curve.order if cap is None else cap, cap is not None)
-        self._inv: IntSeries | None = None
+        self.pack = curve.pack
 
-    def lower(self, s: ZSeries) -> IntSeries | None:
-        return self.series(((j, c, 1) for j, c in s.coeffs.items()), s.order)
-
-    def series(self, terms, order: int | None = None) -> IntSeries | None:
-        pack = self.pack
-        flat = (((e << pack.zshift) | key, c, f)
-                for e, v, f in terms
-                for (_, h), c in v.terms.items()
-                if (key := pack.pack(h)) is not None)
-        s = IntSeries.from_terms(flat, pack, order)
-        return s if s.coeffs else None
+    def series(self, terms) -> IntSeries | None:
+        terms = list(terms)
+        den = lcm(*(d for _, (d, _), _ in terms))
+        zs = self.pack.zshift
+        out: dict[int, int] = {}
+        get = out.get
+        for e, (d, pairs), f in terms:
+            f *= den // d
+            e <<= zs
+            for h, c in pairs:
+                out[e | h] = get(e | h, 0) + c * f
+        out = {j: c for j, c in out.items() if c}
+        return IntSeries(out, den, self.pack) if out else None
 
     def w_sum(self, base: IntSeries | None, products) -> IntSeries:
         return IntSeries.sum_of_products(base, products, self.pack)
 
     def product(self, w: IntSeries, hi: int) -> IntSeries:
-        if self._inv is None:
-            self._inv = self.lower(self.curve.inv2eta())
-        return self._inv.mul(w, hi=hi)
+        return self.curve.inv2eta().mul(w, hi=hi)
 
-    def entries(self, prod: IntSeries, g: int, rest: tuple[int, ...]) -> dict[int, ParamPoly]:
-        # the term h^alpha carries eps^(weight*(sum(k)-g+1+hweight(alpha))):
-        # the grading of SpectralCurve.eps_weight
-        pack, shift = self.pack, sum(rest) - g + 1
-        hmask = (1 << pack.zshift) - 1
-        terms: dict[int, dict] = {}
+    def entries(self, prod: IntSeries) -> dict[int, Form]:
+        zs = self.pack.zshift
+        hmask = (1 << zs) - 1
+        poles: dict[int, list[tuple[int, int]]] = {}
         for key, c in prod.coeffs.items():
-            k1, h = (-(key >> pack.zshift) - 2) // 2, key & hmask
-            e = self.weight * (shift + k1 + (h >> pack.wshift))
-            terms.setdefault(k1, {})[(e, pack.unpack(h))] = Fraction(c, prod.den * odd_df(k1))
-        return {k1: ParamPoly.raw(t) for k1, t in terms.items()}
+            poles.setdefault(key >> zs, []).append((key & hmask, c))
+        out = {}
+        for e, pairs in poles.items():
+            k1 = (-e - 2) // 2
+            den = prod.den * odd_df(k1)
+            d = gcd(den, *(c for _, c in pairs))
+            out[k1] = (den // d, tuple(sorted((h, c // d) for h, c in pairs)))
+        return out
 
-    def two_eta(self) -> IntSeries:
-        return self.lower(self.curve.eta_over_dz().scale(2))
-
-
-_QUARTER = ParamPoly.const(Fraction(1, 4))
+    def view(self, shift: int, form: Form) -> ParamPoly:
+        # the term h^alpha of the entry at k carries
+        # eps^(weight*(sum(k)-g+1+hweight(alpha))), shift = sum(k)-g+1: the
+        # grading of SpectralCurve.eps_weight
+        den, pairs = form
+        pack, w = self.pack, self.weight
+        return ParamPoly.raw({
+            (w * (shift + (h >> pack.wshift)), pack.unpack(h)): Fraction(c, den) for h, c in pairs
+        })
 
 
 class Engine:
     """Memoizing recursion bound to one spectral curve.
 
     The recursion itself (which entries to read off, the dimension bound,
-    the order guards) is shared; slices, W and the product with 1/(2 eta)
-    live in the integer core, _IntRing.
+    the order guards) is shared; slices, W, the product with 1/(2 eta) and
+    the stored entries live in the integer core, _IntRing.
     """
 
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
-        weight = curve.eps_weight()
-        n = max((len(h) for c in curve.y.coeffs.values() for _, h in c.terms), default=0)
-        self._ring = _IntRing(curve, weight, n)
+        self._ring = _IntRing(curve, curve.eps_weight())
         self.table: dict[tuple[int, int], Correlator] = {}
         # (g', alpha) -> slice; pure in the append-only table, so it lives
         # exactly as long as the engine
@@ -308,15 +375,14 @@ class Engine:
         if gp == 0 and len(alpha) == 1:
             # mixed w_{0,2}(z, z_j) against the (2k+1)!! basis: z^{2k}/(2k-1)!!
             k = alpha[0]
-            return self._ring.series([(2 * k, ParamPoly.const(Fraction(2 * k + 1, odd_df(k))), 1)])
+            c = Fraction(2 * k + 1, odd_df(k))
+            return self._ring.series([(2 * k, (c.denominator, ((0, c.numerator),)), 1)])
         corr = self.correlator(gp, len(alpha) + 1)
         smax = 3 * gp - 3 + len(alpha) + 1 - sum(alpha)
-        if smax < 0:
-            return None
         return self._ring.series(
-            (-2 * k - 2, v, odd_df(k))
+            (-2 * k - 2, f, odd_df(k))
             for k in range(smax + 1)
-            if (v := corr.value((k,) + alpha))
+            if (f := corr.form((k,) + alpha)) is not None
         )
 
     def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> IntSeries:
@@ -327,13 +393,13 @@ class Engine:
                 lower = self.correlator(g - 1, n + 1)
                 smax = 3 * (g - 1) - 3 + (n + 1) - sum(rest)
                 diag = [
-                    (-2 * (k + kp) - 4, v, (1 if k == kp else 2) * odd_df(k) * odd_df(kp))
+                    (-2 * (k + kp) - 4, f, (1 if k == kp else 2) * odd_df(k) * odd_df(kp))
                     for k in range(smax + 1)
                     for kp in range(k, smax - k + 1)
-                    if (v := lower.value((k, kp) + rest))
+                    if (f := lower.form((k, kp) + rest)) is not None
                 ]
             elif (g, n) == (1, 1):
-                diag = [(-2, _QUARTER, 1)]
+                diag = [(-2, (4, ((0, 1),)), 1)]  # dz^2/(4 z^2)
         # ordered pair products, each computed once together with its mirror
         # (g2, beta, g1, alpha), which has the same ways; w_{0,1} factors
         # vanish and must be skipped before any recursive lookup (they would
@@ -355,7 +421,7 @@ class Engine:
         # every diagonal and slice exponent is even
         return self._ring.w_sum(self._ring.series(diag), products)
 
-    def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int) -> dict[int, ParamPoly]:
+    def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int) -> dict[int, Form]:
         """k1 -> entry at (k1,) + rest, for every k1 with -2*k1-2 <= hi: the
         poles of the principal part of W_{g,n}(z, rest)/(2 eta(z)) up to z^hi."""
         w = self._assemble_w(g, n, rest)
@@ -366,7 +432,7 @@ class Engine:
             raise InsufficientOrderError(
                 f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})"
             )
-        return self._ring.entries(prod, g, rest)
+        return self._ring.entries(prod)
 
     def _compute(self, g: int, n: int) -> Correlator:
         # Each sorted entry is read off once, from its largest slot: the active
@@ -376,19 +442,19 @@ class Engine:
         # would give the same values is the symmetry of w_{g,n} (a theorem of
         # Eynard-Orantin); all_slots_agree re-reads every slot to check it.
         dim = 3 * g - 3 + n
-        entries: dict[tuple[int, ...], ParamPoly] = {}
+        forms: dict[tuple[int, ...], Form] = {}
         for rest in _sorted_tuples(n - 1, dim):
             top = rest[-1] if rest else 0
             room = dim - sum(rest)
             if top > room:
                 continue
-            for k1, val in self._read_off(g, n, rest, -2 * top - 2).items():
+            for k1, f in self._read_off(g, n, rest, -2 * top - 2).items():
                 if k1 > room:
                     raise AssertionError(
                         f"dimension bound violated at ({g}, {n}): k = {rest + (k1,)}"
                     )
-                entries[rest + (k1,)] = val
-        return Correlator(g, n, entries)
+                forms[rest + (k1,)] = f
+        return Correlator(g, n, forms, self._ring)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -397,8 +463,9 @@ class Engine:
 
         True when, for every rest and every k1, the full read-off (all poles,
         not only those from the largest slot on) equals the stored entry at
-        (k1,) + rest, and no pole lies beyond the dimension bound.  This is
-        the symmetry check that ``_compute`` leaves out of the hot path.
+        (k1,) + rest as a reduced Form, and no pole lies beyond the dimension
+        bound.  This is the symmetry check that ``_compute`` leaves out of
+        the hot path.
         """
         corr = self.correlator(g, n)
         dim = 3 * g - 3 + n
@@ -408,7 +475,7 @@ class Engine:
             if any(k1 > room for k1 in got):
                 return False
             for k1 in range(room + 1):
-                if got.get(k1, PP_ZERO) != corr.value((k1,) + rest):
+                if got.get(k1) != corr.form((k1,) + rest):
                     return False
         return True
 
@@ -419,7 +486,7 @@ class Engine:
         coefficients of 2*eta*w_{g,n} - W_{g,n} vanish.
         """
         self.correlator(g, n)
-        two_eta = self._ring.two_eta()
+        two_eta = self.curve.two_eta()
         dim = 3 * g - 3 + n
         for rest in _sorted_tuples(n - 1, dim):
             sw = self._slice_series(g, rest)
@@ -439,4 +506,4 @@ def correlators_to_potential(corr: Correlator) -> dict[tuple[int, ...], ParamPol
     The coefficient of prod t_{k_i} (sorted key) is the correlator entry
     divided by the order of its automorphism group.
     """
-    return {key: c * Fraction(1, aut(key)) for key, c in corr.entries.items()}
+    return {key: corr.view(key, (den * aut(key), pairs)) for key, (den, pairs) in corr.forms.items()}

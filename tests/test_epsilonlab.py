@@ -18,7 +18,6 @@ from kapparec.epsilonlab import (
 from kapparec.kappapoly import KappaPoly, k_polys
 from kapparec.parampoly import ParamPoly
 from kapparec.rationals import fact
-from kapparec.toprec import Correlator
 
 from conftest import bernoulli
 
@@ -85,14 +84,22 @@ def test_take_limit_k_has_bgw_tail(k_engine):
 
 
 def test_take_limit_rejects_irregular():
+    # a graded curve cannot produce an eps^-1 entry at level 1, so a
+    # correlator stand-in carries one
     class FakeCurve:
         family = "fake"
+
+    class FakeCorrelator:
+        entries = {(0, 0, 0): ParamPoly.eps(-1)}
+
+        def min_eps_valuation(self):
+            return min(c.eps_valuation() for c in self.entries.values())
 
     class FakeEngine:
         curve = FakeCurve()
 
         def correlator(self, g, n):
-            return Correlator(g, n, {(0, 0, 0): ParamPoly.eps(-1)})
+            return FakeCorrelator()
 
     with pytest.raises(ValueError, match="not regular"):
         take_limit(FakeEngine(), 1)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kapparec.intseries import HPacking, IntSeries
 from kapparec.kappapoly import KappaPoly
 from kapparec.parampoly import ParamPoly
 from kapparec.rationals import odd_df, rat_parse, rat_str
@@ -220,6 +221,53 @@ def test_truncation_order_is_provable_random():
         _agrees_below_order(series_exp(u), series_exp(u_long), n)
         v, v_long = _truncations(rng, 0, n, k, lead=F(1))
         _agrees_below_order(series_log(v), series_log(v_long), n)
+
+
+def _int_truncations(rng: random.Random, pack: HPacking, low: int, n: int, k: int,
+                     unit: bool) -> tuple[IntSeries, IntSeries]:
+    """One random IntSeries from z^low on, truncated at order n and at n + k;
+    its z^low coefficient is a nonzero constant, alone when ``unit``."""
+    zs = pack.zshift
+    coeffs = {}
+    for j in range(low, n + k):
+        for _ in range(rng.randint(0, 3)):
+            key = pack.pack(tuple(rng.randint(0, 2) for _ in pack.fields))
+            if key is not None and not (unit and j == low):
+                coeffs[(j << zs) | key] = rng.randint(-4, 4)
+    coeffs[low << zs] = rng.choice((-2, -1, 1, 3))
+    coeffs = {j: c for j, c in coeffs.items() if c}
+    den = rng.randint(1, 6)
+    short = IntSeries({j: c for j, c in coeffs.items() if j >> zs < n}, den, pack, n)
+    return short, IntSeries(coeffs, den, pack, n + k)
+
+
+def _int_agrees_below_order(short: IntSeries, long: IntSeries, order: int) -> None:
+    # the short result states exactly `order`, stores no key at or past it,
+    # and every value it states is the one the longer computation finds
+    zs = short.pack.zshift
+    assert short.order == order and long.order > order
+    assert all(j >> zs < order for j in short.coeffs)
+    assert {j: c for j, c in short.items()} == {j: c for j, c in long.items() if j >> zs < order}
+
+
+@pytest.mark.parametrize("pack", [HPacking(0, 0), HPacking(2, 3), HPacking(3, 5), HPacking(2, 400, False)],
+                         ids=["no-h", "cap3", "cap5", "uncapped"])
+def test_intseries_truncation_order_is_provable_random(pack):
+    rng = random.Random(20261019)
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        b1, b2 = rng.randint(-3, 2), rng.randint(-3, 2)
+        n1, n2 = b1 + rng.randint(1, 6), b2 + rng.randint(1, 6)
+        a, a_long = _int_truncations(rng, pack, b1, n1, k, unit=False)
+        b, b_long = _int_truncations(rng, pack, b2, n2, k, unit=False)
+        order = min(n1 + b2, n2 + b1)
+        _int_agrees_below_order(a.mul(b), a_long.mul(b_long), order)
+        hi = rng.randint(b1 + b2, order + 2)
+        _int_agrees_below_order(a.mul(b, hi=hi), a_long.mul(b_long, hi=hi + k), min(order, hi + 1))
+        u, u_long = _int_truncations(rng, pack, b1, n1, k, unit=True)
+        _int_agrees_below_order(u.invert(), u_long.invert(), n1 - 2 * b1)
+        one = u.mul(u.invert())
+        assert one.order == n1 - b1 and one.items() == [(0, 1)]
 
 
 def test_series_invert_geometric():

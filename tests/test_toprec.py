@@ -3,13 +3,16 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from kapparec.cli import _engine, _top
 from kapparec.coeffs import h_star
+from kapparec.epsilonlab import check_regularity
 from kapparec.parampoly import ParamPoly, hweight
 from kapparec.toprec import (
+    FAMILIES,
     Correlator,
     Engine,
     InsufficientOrderError,
@@ -271,6 +274,73 @@ def test_a_short_y_is_caught_by_the_product_order_guard():
         eng.correlator(2, 1)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integer_inverse_equals_the_lowered_reference(family):
+    # 1/(2 eta) inverted on IntSeries, under the h-weight cap for the weak
+    # families, against the ParamPoly series inverse lowered afterwards: the
+    # same terms over the same denominator with the same order, at the CLI's
+    # default verify budget and at a deeper one
+    for budget in (5, 10):
+        curve = _engine(family, *_top(budget)).curve
+        two_eta = curve.eta_over_dz().scale(2)
+        want = curve.lower(series_invert(two_eta, curve.order if two_eta.order is None else None))
+        got = curve.inv2eta()
+        assert (got.coeffs, got.den, got.order) == (want.coeffs, want.den, want.order), budget
+
+
+def test_integer_inverse_raises_the_reference_errors():
+    y = ZSeries({1: ParamPoly.h(1), 3: 1}, order=6, parity=1)
+    curve = SpectralCurve("weak-k", y, 6, n_h=1)
+    cases = [
+        (ZSeries({2: ParamPoly.h(1, coeff=2), 4: 2}, order=7), None),
+        (ZSeries({0: ParamPoly.one() + ParamPoly.h(1)}, order=4), None),
+        (ZSeries({2: 2}), None),
+        (ZSeries({2: 2}), -2),
+        (ZSeries({}, order=3), None),
+    ]
+    for s, out_order in cases:
+        with pytest.raises(ValueError) as want:
+            series_invert(s, out_order)
+        with pytest.raises(ValueError) as got:
+            curve.lower(s).invert(out_order)
+        assert str(got.value) == str(want.value)
+    # 2 eta/dz = 2 h_1 z^2 + 2 z^4 has no unit leading term
+    with pytest.raises(ValueError, match="leading term not a unit"):
+        curve.inv2eta()
+    # a y too short for the curve order gives the reference's shorter inverse,
+    # which the product order guard then refuses
+    short = SpectralCurve("k", build_curve("k", 6).y, required_order(2, 1))
+    want = short.lower(series_invert(short.eta_over_dz().scale(2)))
+    got = short.inv2eta()
+    assert (got.coeffs, got.den, got.order) == (want.coeffs, want.den, want.order)
+
+
+def test_the_recursion_builds_no_parampoly(monkeypatch):
+    # tables are stored and summed as integer forms, and the regularity
+    # check reads them; only a read of an entry builds its ParamPoly view
+    engines = [_engine(family, 5, 1) for family in ("kw", "k", "weak-k")]
+    regular = _engine("weak-j", *_top(5))
+    built = []
+    raw, init = ParamPoly.raw, ParamPoly.__init__
+
+    def counting_raw(terms):
+        built.append(1)
+        return raw(terms)
+
+    def counting_init(self, terms=None):
+        built.append(1)
+        init(self, terms)
+
+    monkeypatch.setattr(ParamPoly, "raw", staticmethod(counting_raw))
+    monkeypatch.setattr(ParamPoly, "__init__", counting_init)
+    for eng in engines:
+        eng.correlator(5, 1)
+    assert all(r.passed for r in check_regularity(regular, 5))
+    assert not built
+    assert engines[2].correlator(5, 1).value((0,))
+    assert built
+
+
 def test_insufficient_order_is_loud():
     eng = Engine(build_curve("k", required_order(1, 1)))
     eng.correlator(1, 1)
@@ -312,20 +382,32 @@ def test_loop_equation_residual(kw_engine, k_engine, j_engine, weak_k_engine, we
             assert eng.loop_equation_negative_residual(*gn)
 
 
-def test_every_slot_reads_off_the_stored_entry(kw_engine, k_engine, weak_k_engine, bgw_engine):
+def test_every_slot_reads_off_the_stored_entry(kw_engine, k_engine, j_engine, weak_k_engine,
+                                                weak_j_engine, bgw_engine):
     # each entry is computed from its largest slot only; rebuilding it from
     # every other slot must give the same value exactly
-    for eng in (kw_engine, k_engine, weak_k_engine, bgw_engine):
+    for eng in (kw_engine, k_engine, j_engine, weak_k_engine, weak_j_engine, bgw_engine):
         for gn in [(0, 4), (1, 2), (1, 3), (2, 2)]:
             assert eng.all_slots_agree(*gn), (eng.curve.family, gn)
+            # stored forms are canonical: pairs sorted by h-key, gcd 1; the
+            # valuation read off them is the one of the ParamPoly view
+            corr = eng.correlator(*gn)
+            vals = [v.eps_valuation() for v in corr.entries.values()]
+            assert corr.min_eps_valuation() == min(vals, default=None)
+            for den, pairs in corr.forms.values():
+                assert den > 0 and gcd(den, *(c for _, c in pairs)) == 1
+                assert [h for h, _ in pairs] == sorted({h for h, _ in pairs})
 
 
 def test_slot_check_catches_an_asymmetric_table():
     def perturbed(gn):
+        # add 1 to the stored integer form of the largest entry
         eng = Engine(build_curve("kw", required_order(1, 3)))
-        entries = dict(eng.correlator(*gn).entries)
-        entries[max(entries)] += ParamPoly.const(1)
-        eng.table[gn] = Correlator(*gn, entries)
+        forms = dict(eng.correlator(*gn).forms)
+        key = max(forms)
+        den, ((h, num),) = forms[key]
+        forms[key] = (den, ((h, num + den),))
+        eng.table[gn] = Correlator(*gn, forms, eng._ring)
         return eng
 
     assert Engine(build_curve("kw", required_order(1, 3))).all_slots_agree(1, 2)
