@@ -1,12 +1,23 @@
 """Independent computation of psi and kappa-psi intersection numbers.
 
-Pure psi numbers <tau_{d_1} ... tau_{d_n}>_g are reduced in two steps.  A
-key whose smallest exponent is 0 or 1 on a stable (g, n-1) goes through the
-string or the dilaton equation, which remove that point.  Every other key is
-solved by the DVV (Virasoro) recursion on its largest exponent; in its
-quadratic term the genus of each factor is fixed by the dimension
-constraint, so each split of the remaining points is evaluated once.  The
-base cases are <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.
+Pure psi numbers are computed as the integers
+
+    N(g; d) = 8^chi prod (2d_i+1)!! <tau_{d_1} ... tau_{d_n}>_g,   chi = 2g-2+n,
+
+after the normalized DVV (Dijkgraaf-Verlinde-Verlinde 1991) of Liu-Xu 2007.
+A key whose smallest exponent is 0 or 1 on a stable (g, n-1) goes through the
+string or the dilaton equation, N(g; 0, mu) = 8 sum_v m_v (2v+1) N(g; mu with
+one v lowered) or N(g; 1, mu) = 24 (2g-3+n) N(g; mu), with m_v the
+multiplicity of v in mu.  Every other key is solved by DVV on its largest
+exponent k, plus N(0; 0,0,0) = 8 and N(1; 1) = 1:
+
+    N(g; k, mu) = 8 sum_v m_v (2v+1) N(g; k+v-1, mu minus v) + 4 sum_{a+b=k-2}
+        [N(g-1; a, b, mu) + sum_{alpha+beta=mu} N(g1; a, alpha) N(g-g1; b, beta)].
+
+The dimension constraint fixes g1, so each split is evaluated once.  N is an
+integer by induction on chi: the string, dilaton and merge terms have chi - 1
+and integer coefficients, so 8^chi gives them a factor 8; the other terms
+carry DVV's one 1/2 and chi's summing to chi - 1, so they get 8/2 = 4.
 
 Kappa insertions are reduced by the set-partition formula of
 Arbarello-Cornalba and Kaufmann-Manin-Zagier, which inverts the push-forward
@@ -34,7 +45,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from bisect import bisect_right
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from .kappapoly import (
@@ -54,6 +67,17 @@ CACHE_ENV = "KAPPAREC_CACHE"
 Zero = Fraction(0)
 
 
+def _scale(g: int, ds: Sequence[int]) -> int:
+    """8^(2g-2+n) prod (2d_i+1)!!, the factor taking <tau_ds>_g to the integer N(g, ds)."""
+    return 8 ** (2 * g - 2 + len(ds)) * prod(map(odd_df, ds))
+
+
+def _insert(t: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The sorted tuple t with x inserted (toprec keeps its own: the oracle shares no code with TR)."""
+    i = bisect_right(t, x)
+    return t[:i] + (x,) + t[i:]
+
+
 def _key_str(g: int, psis: Sequence[int], lam: Sequence[int]) -> str:
     return f"{g};{','.join(map(str, psis))};{','.join(map(str, lam))}"
 
@@ -64,12 +88,23 @@ def parse_key(key: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     if len(parts) != 3:
         raise ValueError(f"malformed cache key {key!r}")
     try:
-        g, psis, lam = (tuple(int(x) for x in p.split(",")) if p else () for p in parts)
+        g, psis, lam = (tuple(map(int, p.split(","))) if p else () for p in parts)
     except ValueError:
         raise ValueError(f"malformed cache key {key!r}") from None
     if len(g) != 1 or min(g + psis) < 0 or any(x < 1 for x in lam):
         raise ValueError(f"malformed cache key {key!r}")
     return g[0], psis, lam
+
+
+def _off_lattice(key: str, value: Fraction) -> bool:
+    """Whether key is a stable psi-only key whose _scale is no multiple of value's denominator."""
+    if value.denominator == 1 or not key.endswith(";"):
+        return False
+    try:
+        g, psis, _ = parse_key(key)
+    except ValueError:
+        return False
+    return 2 * g - 2 + len(psis) > 0 and _scale(g, psis) % value.denominator != 0
 
 
 class Cache:
@@ -100,9 +135,12 @@ class Cache:
             raise ValueError("corrupted cache file: no entries map")
         for k, v in entries.items():
             try:
-                self.data[k] = rat_str(rat_parse(v))
+                value = rat_parse(v)
             except (AttributeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"corrupted cache file: bad value {v!r} at {k}") from None
+            if _off_lattice(k, value):
+                raise ValueError(f"corrupted cache file: {v} at {k} is not a psi number")
+            self.data[k] = rat_str(value)
         self.path = path
 
     def save(self, path: str | None = None) -> str:
@@ -146,7 +184,7 @@ def default_cache_path() -> str | None:
 class IntersectionOracle:
     def __init__(self, cache: Cache | None = None):
         self.cache = cache
-        self._kw: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self._kw: dict[tuple[int, tuple[int, ...]], int] = {}
         self._kpsi: dict[tuple[int, tuple[int, ...], Partition], Fraction] = {}
 
     # -- pure psi numbers ----------------------------------------------------
@@ -155,12 +193,15 @@ class IntersectionOracle:
         """<tau_{d_1} ... tau_{d_n}>_g, zero off the dimension constraint."""
         ds = tuple(sorted(ds))
         n = len(ds)
-        if g < 0 or n < 1 or any(d < 0 for d in ds):
+        if g < 0 or n < 1 or ds[0] < 0 or 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
             return Zero
-        if 2 * g - 2 + n <= 0:
-            return Zero
-        if sum(ds) != 3 * g - 3 + n:
-            return Zero
+        return Fraction(self._normalized(g, ds), _scale(g, ds))
+
+    def _normalized(self, g: int, ds: tuple[int, ...]) -> int:
+        """N(g, ds) of a sorted on-dimension key; 0 when (g, n) is unstable."""
+        n = len(ds)
+        if g < 0 or 2 * g - 2 + n <= 0:
+            return 0
         key = (g, ds)
         hit = self._kw.get(key)
         if hit is not None:
@@ -168,67 +209,51 @@ class IntersectionOracle:
         if self.cache is not None:
             c = self.cache.get(g, ds, ())
             if c is not None:
-                self._kw[key] = c
-                return c
-        if ds[0] <= 1 and 2 * g - 3 + n > 0:
-            val = self._string_dilaton(g, ds)
+                c *= _scale(g, ds)
+                if c.denominator != 1:
+                    raise ValueError(f"cache entry {_key_str(g, ds, ())} is not a psi number")
+                self._kw[key] = c.numerator
+                return c.numerator
+        rest = ds[1:]
+        if ds[0] == 1 and 2 * g - 3 + n > 0:  # dilaton
+            val = 24 * (2 * g - 3 + n) * self._normalized(g, rest)
+        elif ds[0] == 0 and 2 * g - 3 + n > 0:  # string
+            val = 0
+            for v, m in multiplicities(rest).items():
+                if v:
+                    i = rest.index(v)
+                    val += m * (2 * v + 1) * self._normalized(g, rest[:i] + (v - 1,) + rest[i + 1 :])
+            val *= 8
         else:
-            val = self._kw_recurse(g, ds)
+            val = self._dvv(g, ds)
         self._kw[key] = val
         if self.cache is not None:
-            self.cache.put(g, ds, (), val)
+            self.cache.put(g, ds, (), Fraction(val, _scale(g, ds)))
         return val
 
-    def _string_dilaton(self, g: int, ds: tuple[int, ...]) -> Fraction:
-        """Remove the tau_0 (string) or tau_1 (dilaton) point ds[0]; (g, n-1) is stable."""
-        rest = ds[1:]
-        if ds[0] == 1:
-            return (2 * g - 2 + len(rest)) * self.kw_number(g, rest)
-        total = Zero
-        for v, m in multiplicities(rest).items():
-            if v:
-                lowered = list(rest)
-                lowered[lowered.index(v)] = v - 1
-                total += m * self.kw_number(g, lowered)
-        return total
-
-    def _kw_recurse(self, g: int, ds: tuple[int, ...]) -> Fraction:
-        """DVV recursion on the largest exponent ds[-1] of the sorted key."""
+    def _dvv(self, g: int, ds: tuple[int, ...]) -> int:
+        """DVV recursion for N on the largest exponent ds[-1] of the sorted key."""
         k1 = ds[-1]
         mu = ds[:-1]
-        rhs = Zero
-        # string-type merge terms
-        mult = multiplicities(mu)
-        for v, m in mult.items():
-            idx = k1 + v - 1
-            if idx < 0:
-                continue
-            rest = list(mu)
-            rest.remove(v)
-            rhs += (
-                m
-                * Fraction(odd_df(idx), odd_df(v - 1))
-                * self.kw_number(g, (idx, *rest))
-            )
-        # quadratic terms
+        merged = 0
+        for v, m in multiplicities(mu).items():
+            if k1 + v:
+                i = mu.index(v)
+                merged += m * (2 * v + 1) * self._normalized(g, _insert(mu[:i] + mu[i + 1 :], k1 + v - 1))
+        quadratic = 0
         for a in range(0, k1 - 1):
             b = k1 - 2 - a
-            coeff = Fraction(odd_df(a) * odd_df(b), 2)
-            rhs += coeff * self.kw_number(g - 1, (a, b, *mu))
+            quadratic += self._normalized(g - 1, _insert(_insert(mu, a), b))
             for alpha, beta, ways in cached_multiset_splits(mu):
-                # <tau_a alpha>_{g1} is off dimension unless this divides exactly
+                # N(g1; a, alpha) is off dimension unless this divides exactly
                 g1, r = divmod(a + sum(alpha) + 2 - len(alpha), 3)
                 if r or g1 < 0 or g1 > g:
                     continue
-                v1 = self.kw_number(g1, (a, *alpha))
+                v1 = self._normalized(g1, _insert(alpha, a))
                 if v1:
-                    rhs += coeff * ways * v1 * self.kw_number(g - g1, (b, *beta))
-        # constraint constants
-        if g == 0 and k1 == 0 and mu == (0, 0):
-            rhs += 1
-        if g == 1 and k1 == 1 and not mu:
-            rhs += Fraction(1, 8)
-        return rhs / odd_df(k1)
+                    quadratic += ways * v1 * self._normalized(g - g1, _insert(beta, b))
+        base = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0
+        return 8 * merged + 4 * quadratic + base
 
     # -- kappa classes ---------------------------------------------------------
 

@@ -173,6 +173,24 @@ def test_bad_cache_value_is_usage_error(capsys, tmp_path):
             assert "cannot open cache" in err and "0;0,0,0;" in err, (value, args)
 
 
+def test_off_lattice_cache_value_is_refused(capsys, tmp_path):
+    # 8^(2g-2+n) prod (2d_i+1)!! <tau_1>_1 = 24 * 1/23 is not an integer, so
+    # no psi number can be 1/23 there; the file must not be read or rewritten
+    bad, cpath = tmp_path / "bad.json", tmp_path / "cache.json"
+    bad.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"1;1;": "1/23"}}))
+    before = bad.read_bytes()
+    for args in (["cache", "--action", "stats"], ["verify", "--suite", "kdv", "--epsilon-budget", "1"]):
+        code, out, err = run(capsys, args + ["--cache", str(bad)])
+        assert code == 2 and out == "", args
+        assert "cannot open cache" in err and "1;1;" in err, args
+    assert bad.read_bytes() == before
+    cpath.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"1;1;": "1/24"}}))
+    kept = cpath.read_bytes()
+    code, out, err = run(capsys, ["cache", "--action", "import", "--in", str(bad), "--cache", str(cpath)])
+    assert code == 2 and out == "" and "refusing import" in err and "1;1;" in err
+    assert cpath.read_bytes() == kept and bad.read_bytes() == before
+
+
 def test_cache_file_not_a_json_object_is_usage_error(capsys, tmp_path):
     for payload in ([1, 2], "x"):
         bad = tmp_path / "bad.json"

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
-from kapparec.intersect import Cache, IntersectionOracle, _key_str
-from kapparec.kappapoly import KappaPoly, j_polys, k_polys
+from kapparec.intersect import Cache, IntersectionOracle, _key_str, _scale
+from kapparec.kappapoly import KappaPoly, cached_multiset_splits, j_polys, k_polys, multiplicities
+from kapparec.rationals import odd_df
 
 from conftest import bernoulli
 
@@ -35,7 +37,7 @@ def test_kw_off_dimension_and_unstable():
 
 def test_string_and_dilaton_random(oracle):
     # kw_number takes the string/dilaton shortcut on an appended 0 or 1;
-    # _kw_recurse solves the same key by DVV on its largest exponent.
+    # _dvv solves the same key by DVV on its largest exponent.
     # On-dimension psi numbers are positive, so no comparison is 0 == 0.
     rng = random.Random(71)
     for _ in range(60):
@@ -50,7 +52,82 @@ def test_string_and_dilaton_random(oracle):
                 ds[rng.randrange(n)] += 1
             key = ds + [extra]
             got = oracle.kw_number(g, key)
-            assert got > 0 and got == oracle._kw_recurse(g, tuple(sorted(key))), (g, key)
+            key = tuple(sorted(key))
+            assert got > 0 and got == F(oracle._dvv(g, key), _scale(g, key)), (g, key)
+
+
+class FractionReference:
+    """The Fraction string/dilaton/DVV recursion on <tau_ds>_g itself, kept as
+    an independent reference for the integer recursion of the oracle."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def kw(self, g, ds):
+        ds = tuple(sorted(ds))
+        n = len(ds)
+        if g < 0 or n < 1 or 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
+            return F(0)
+        key = (g, ds)
+        if key not in self.memo:
+            if ds[0] <= 1 and 2 * g - 3 + n > 0:
+                self.memo[key] = self._string_dilaton(g, ds)
+            else:
+                self.memo[key] = self._dvv(g, ds)
+        return self.memo[key]
+
+    def _string_dilaton(self, g, ds):
+        rest = ds[1:]
+        if ds[0] == 1:
+            return (2 * g - 2 + len(rest)) * self.kw(g, rest)
+        total = F(0)
+        for v, m in multiplicities(rest).items():
+            if v:
+                lowered = list(rest)
+                lowered[lowered.index(v)] = v - 1
+                total += m * self.kw(g, lowered)
+        return total
+
+    def _dvv(self, g, ds):
+        k1, mu = ds[-1], ds[:-1]
+        rhs = F(0)
+        for v, m in multiplicities(mu).items():
+            idx = k1 + v - 1
+            if idx >= 0:
+                rest = list(mu)
+                rest.remove(v)
+                rhs += m * F(odd_df(idx), odd_df(v - 1)) * self.kw(g, (idx, *rest))
+        for a in range(0, k1 - 1):
+            b = k1 - 2 - a
+            coeff = F(odd_df(a) * odd_df(b), 2)
+            rhs += coeff * self.kw(g - 1, (a, b, *mu))
+            for alpha, beta, ways in cached_multiset_splits(mu):
+                for g1 in range(g + 1):
+                    rhs += coeff * ways * self.kw(g1, (a, *alpha)) * self.kw(g - g1, (b, *beta))
+        if g == 0 and ds == (0, 0, 0):
+            rhs += 1
+        if g == 1 and ds == (1,):
+            rhs += F(1, 8)
+        return rhs / odd_df(k1)
+
+
+def test_integer_oracle_equals_the_fraction_reference():
+    ref = FractionReference()
+    o = IntersectionOracle()
+    # every on-dimension key with g <= 5 and n <= 8
+    keys = [
+        (g, ds)
+        for g in range(6)
+        for n in range(1, 9)
+        if 2 * g - 2 + n > 0
+        for ds in _psi_monomials(n, 3 * g - 3 + n)
+    ]
+    for g, ds in keys:
+        assert o.kw_number(g, ds) == ref.kw(g, ds), (g, ds)
+    assert len(keys) == 2366
+    # the integrality lemma: 8^(2g-2+n) prod (2d_i+1)!! <tau_ds>_g is an integer
+    for (g, ds), val in ref.memo.items():
+        assert (val * 8 ** (2 * g - 2 + len(ds)) * prod(map(odd_df, ds))).denominator == 1, (g, ds)
 
 
 def test_genus_zero_closed_form(oracle):
@@ -188,6 +265,9 @@ def test_cache_version_and_collision(tmp_path):
     with pytest.raises(ValueError, match="collision"):
         c.put(1, (0,), (1,), F(1, 25))
     assert _key_str(1, (0,), (1,)) == "1;0;1"
+    c.data["1;1;"] = "1/23"  # set past load's lattice check
+    with pytest.raises(ValueError, match="1;1; is not a psi number"):
+        IntersectionOracle(c).kw_number(1, (1,))
 
 
 def test_kclass_psi_numeric(oracle):
