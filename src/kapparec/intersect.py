@@ -45,9 +45,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from bisect import bisect_right
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Mapping, Sequence
 
 from .kappapoly import (
@@ -55,6 +54,7 @@ from .kappapoly import (
     Partition,
     aut,
     cached_multiset_splits,
+    insert_sorted,
     multiplicities,
     partitions,
     set_partitions,
@@ -70,12 +70,6 @@ Zero = Fraction(0)
 def _scale(g: int, ds: Sequence[int]) -> int:
     """8^(2g-2+n) prod (2d_i+1)!!, the factor taking <tau_ds>_g to the integer N(g, ds)."""
     return 8 ** (2 * g - 2 + len(ds)) * prod(map(odd_df, ds))
-
-
-def _insert(t: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """The sorted tuple t with x inserted (toprec keeps its own: the oracle shares no code with TR)."""
-    i = bisect_right(t, x)
-    return t[:i] + (x,) + t[i:]
 
 
 def _key_str(g: int, psis: Sequence[int], lam: Sequence[int]) -> str:
@@ -97,14 +91,29 @@ def parse_key(key: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 
 def _off_lattice(key: str, value: Fraction) -> bool:
-    """Whether key is a stable psi-only key whose _scale is no multiple of value's denominator."""
-    if value.denominator == 1 or not key.endswith(";"):
+    """Whether key is a stable psi-only key at which no psi number equals value:
+    off dimension, or a denominator not dividing _scale, tested without forming
+    _scale (a key may hold a huge exponent) by dividing out odd factors until 1."""
+    q = value.denominator
+    if q == 1 or not key.endswith(";"):
         return False
     try:
         g, psis, _ = parse_key(key)
     except ValueError:
         return False
-    return 2 * g - 2 + len(psis) > 0 and _scale(g, psis) % value.denominator != 0
+    chi = 2 * g - 2 + len(psis)
+    if chi <= 0:
+        return False
+    if sum(psis) != 3 * g - 3 + len(psis):
+        return True
+    twos = (q & -q).bit_length() - 1
+    q >>= twos
+    for d in psis:
+        j = 3
+        while q != 1 and j <= 2 * d + 1:
+            q //= gcd(q, j)
+            j += 2
+    return q != 1 or twos > 3 * chi
 
 
 class Cache:
@@ -239,19 +248,19 @@ class IntersectionOracle:
         for v, m in multiplicities(mu).items():
             if k1 + v:
                 i = mu.index(v)
-                merged += m * (2 * v + 1) * self._normalized(g, _insert(mu[:i] + mu[i + 1 :], k1 + v - 1))
+                merged += m * (2 * v + 1) * self._normalized(g, insert_sorted(mu[:i] + mu[i + 1 :], k1 + v - 1))
         quadratic = 0
         for a in range(0, k1 - 1):
             b = k1 - 2 - a
-            quadratic += self._normalized(g - 1, _insert(_insert(mu, a), b))
+            quadratic += self._normalized(g - 1, insert_sorted(insert_sorted(mu, a), b))
             for alpha, beta, ways in cached_multiset_splits(mu):
                 # N(g1; a, alpha) is off dimension unless this divides exactly
                 g1, r = divmod(a + sum(alpha) + 2 - len(alpha), 3)
                 if r or g1 < 0 or g1 > g:
                     continue
-                v1 = self._normalized(g1, _insert(alpha, a))
+                v1 = self._normalized(g1, insert_sorted(alpha, a))
                 if v1:
-                    quadratic += ways * v1 * self._normalized(g - g1, _insert(beta, b))
+                    quadratic += ways * v1 * self._normalized(g - g1, insert_sorted(beta, b))
         base = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0
         return 8 * merged + 4 * quadratic + base
 

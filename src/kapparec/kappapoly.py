@@ -9,6 +9,7 @@ Monomial ordering for rendering and serialization is graded lexicographic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -47,6 +48,12 @@ def multiplicities(p: Sequence[int]) -> dict[int, int]:
     for x in p:
         out[x] = out.get(x, 0) + 1
     return out
+
+
+def insert_sorted(t: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The sorted tuple t with x inserted: a multiset key without a sort."""
+    i = bisect_right(t, x)
+    return t[:i] + (x,) + t[i:]
 
 
 def aut(mu: Sequence[int]) -> int:

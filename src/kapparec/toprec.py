@@ -46,7 +46,6 @@ are memoized on the engine for the same reason.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +53,7 @@ from math import gcd, lcm
 
 from .coeffs import htilde_weak
 from .intseries import HPacking, IntSeries
-from .kappapoly import aut, multiset_splits
+from .kappapoly import aut, insert_sorted, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, hweight
 from .rationals import odd_df
 from .zseries import ZSeries
@@ -239,12 +238,6 @@ class _EntryView(Mapping):
         return len(self._corr.forms)
 
 
-def _insert(t: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """The sorted tuple t with x inserted: a lookup key without a sort."""
-    i = bisect_right(t, x)
-    return t[:i] + (x,) + t[i:]
-
-
 @lru_cache(maxsize=None)
 def _sorted_tuples(n: int, total_max: int) -> tuple[tuple[int, ...], ...]:
     """Non-decreasing n-tuples of non-negative ints with sum <= total_max,
@@ -389,7 +382,7 @@ class Engine:
         return self._ring.series(
             (-2 * k - 2, f, odd_df(k))
             for k in range(smax + 1)
-            if (f := corr.forms.get(_insert(alpha, k))) is not None
+            if (f := corr.forms.get(insert_sorted(alpha, k))) is not None
         )
 
     def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> IntSeries:
@@ -402,9 +395,9 @@ class Engine:
                 diag = [
                     (-2 * (k + kp) - 4, f, (1 if k == kp else 2) * odd_df(k) * odd_df(kp))
                     for k in range(smax + 1)
-                    for rest_k in (_insert(rest, k),)
+                    for rest_k in (insert_sorted(rest, k),)
                     for kp in range(k, smax - k + 1)
-                    if (f := lower.forms.get(_insert(rest_k, kp))) is not None
+                    if (f := lower.forms.get(insert_sorted(rest_k, kp))) is not None
                 ]
             elif (g, n) == (1, 1):
                 diag = [(-2, (4, ((0, 1),)), 1)]  # dz^2/(4 z^2)

@@ -270,6 +270,30 @@ def test_cache_version_and_collision(tmp_path):
         IntersectionOracle(c).kw_number(1, (1,))
 
 
+def _cache_file(tmp_path, entries: dict) -> str:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": entries}))
+    return str(path)
+
+
+def test_lattice_check_never_forms_a_huge_scale(tmp_path):
+    # (2*10^8+1)!! has hundreds of millions of digits: the check may only
+    # divide the denominator by its first odd factors
+    g, d = 33_333_334, 100_000_000  # on dimension: d = 3g - 2
+    on = f"{g};{d};"
+    for value in ("1/3", "1/2", "-5/63", "7"):
+        assert Cache(_cache_file(tmp_path, {on: value})).data[on] == value
+    # 2^(3 chi + 1) and an odd prime above every 2d_i + 1 divide no scale
+    for key, value in (("1;1;", "1/16"), ("1;0,2;", "1/7"), ("2;0,0,6;", "1/17")):
+        with pytest.raises(ValueError, match=f"at {key} is not a psi number"):
+            Cache(_cache_file(tmp_path, {key: value}))
+    # a fraction off the dimension constraint is refused before any scale
+    for key in ("0;100000000,0,0;", "1;0,0;"):
+        with pytest.raises(ValueError, match=f"at {key} is not a psi number"):
+            Cache(_cache_file(tmp_path, {key: "1/3"}))
+    assert Cache(_cache_file(tmp_path, {"0;100000000,0,0;": "0"})).data
+
+
 def test_kclass_psi_numeric(oracle):
     # int_{M_{1,1}} exp(s_1 kappa_1) with h_1 = -3, so s_1 = 3: 3 * 1/24
     assert oracle.kclass_psi(1, (0,), {1: F(-3)}) == F(1, 8)
