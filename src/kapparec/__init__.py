@@ -26,7 +26,7 @@ from .kappapoly import (
 )
 from .parampoly import ParamPoly
 from .toprec import Correlator, Engine, SpectralCurve, build_curve, required_order
-from .zseries import ZSeries, series_exp, series_invert, series_log
+from .zseries import ZSeries, series_invert
 
 __version__ = "0.1.0"
 
@@ -55,9 +55,7 @@ __all__ = [
     "required_order",
     "s_from_h",
     "s_sequence",
-    "series_exp",
     "series_invert",
-    "series_log",
     "shift_coeffs",
     "sigma_sequence",
 ]

@@ -270,6 +270,8 @@ _SUITES = {
 def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
         raise UsageError(f"--suite must be one of {sorted(_SUITES)}")
+    if args.epsilon_budget < 0:
+        raise UsageError("--epsilon-budget must be non-negative")
     if args.family:
         if args.suite != "regularity":
             raise UsageError("--family applies only to --suite regularity")

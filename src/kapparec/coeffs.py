@@ -6,6 +6,9 @@ characterizations:
   exp(-sum_j ell_j t^j) = sum_k (-1)^k t^k prod_{m=0}^{k-1} (a + b m)      (reciprocal)
   exp(+sum_j ell_j t^j) = 1 + a t - b t^2 d/dt sum_j ell_j t^j            (ODE)
 
+Both are worked out on lists of Fraction coefficients, by the exp and log
+recurrences of exp_coeffs and log_coeffs.
+
 Specializations: (1,1) -> sigma (factorials), (3,2) -> s (odd double
 factorials), (1,2) -> p (even-shifted double factorials, (-1)!! = 1).
 
@@ -21,16 +24,38 @@ from typing import Sequence
 
 from .parampoly import ParamPoly
 from .rationals import fact, odd_df
-from .zseries import ZSeries, series_exp, series_log
 
-def alternating_product_series(a: Fraction, b: Fraction, order: int) -> ZSeries:
-    """sum_k (-1)^k t^k prod_{m=0}^{k-1}(a+bm), truncated at t^order."""
-    coeffs = {}
+
+def exp_coeffs(a: Sequence[Fraction]) -> list[Fraction]:
+    """e_0..e_{n-1} of exp(sum_j a_j t^j) from a_0..a_{n-1} with a_0 = 0,
+    by k e_k = sum_{j<=k} j a_j e_{k-j}."""
+    if not a or a[0]:
+        raise ValueError("exp requires constant term 0")
+    e = [Fraction(1)]
+    for k in range(1, len(a)):
+        e.append(sum((j * a[j] * e[k - j] for j in range(1, k + 1)), Fraction(0)) / k)
+    return e
+
+
+def log_coeffs(c: Sequence[Fraction]) -> list[Fraction]:
+    """l_0..l_{n-1} of log(sum_k c_k t^k) from c_0..c_{n-1} with c_0 = 1,
+    by k l_k = k c_k - sum_{j<k} j l_j c_{k-j}."""
+    if not c or c[0] != 1:
+        raise ValueError("log requires constant term 1")
+    ell = [Fraction(0)]
+    for k in range(1, len(c)):
+        ell.append(c[k] - sum((j * ell[j] * c[k - j] for j in range(1, k)), Fraction(0)) / k)
+    return ell
+
+
+def alternating_product_series(a: Fraction, b: Fraction, order: int) -> list[Fraction]:
+    """The coefficients of t^0..t^(order-1) in sum_k (-1)^k t^k prod_{m=0}^{k-1}(a+bm)."""
+    out = []
     prod = Fraction(1)
     for k in range(order):
-        coeffs[k] = Fraction((-1) ** k) * prod
+        out.append((-1) ** k * prod)
         prod *= a + b * k
-    return ZSeries(coeffs, order=order)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -38,10 +63,8 @@ def ell_from_ab(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, ...]:
     """ell_1..ell_n via the reciprocal characterization (series log)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    a, b = Fraction(a), Fraction(b)
-    rhs = alternating_product_series(a, b, n + 1)
-    logs = series_log(rhs)
-    return tuple(-logs.coeff(j).as_fraction() for j in range(1, n + 1))
+    logs = log_coeffs(alternating_product_series(Fraction(a), Fraction(b), n + 1))
+    return tuple(-v for v in logs[1:])
 
 
 @lru_cache(maxsize=None)
@@ -56,14 +79,11 @@ def ell_via_ode(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, ...]:
     a, b = Fraction(a), Fraction(b)
     ell: list[Fraction] = []
     for k in range(1, n + 1):
-        partial = ZSeries(
-            {j + 1: ell[j] for j in range(len(ell))}, order=k + 1
-        )
-        e_partial = series_exp(partial)
+        e_partial = exp_coeffs([Fraction(0), *ell, Fraction(0)])
         rhs_k = (a if k == 1 else Fraction(0)) - (
             b * (k - 1) * ell[k - 2] if k >= 2 else Fraction(0)
         )
-        ell.append(rhs_k - e_partial.coeff(k).as_fraction())
+        ell.append(rhs_k - e_partial[k])
     return tuple(ell)
 
 
@@ -81,20 +101,12 @@ def p_sequence(n: int) -> tuple[Fraction, ...]:
 
 def h_from_s(s: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """h_1..h_N from 1 + sum h_k t^k = exp(-sum s_i t^i)."""
-    n = len(s)
-    exponent = ZSeries({i + 1: -Fraction(s[i]) for i in range(n)}, order=n + 1)
-    e = series_exp(exponent)
-    return tuple(e.coeff(k).as_fraction() for k in range(1, n + 1))
+    return tuple(exp_coeffs([Fraction(0), *(-Fraction(v) for v in s)])[1:])
 
 
 def s_from_h(h: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Inverse of h_from_s: s_i = -[t^i] log(1 + sum h_k t^k)."""
-    n = len(h)
-    series = ZSeries(
-        {0: Fraction(1), **{k + 1: Fraction(h[k]) for k in range(n)}}, order=n + 1
-    )
-    logs = series_log(series)
-    return tuple(-logs.coeff(i).as_fraction() for i in range(1, n + 1))
+    return tuple(-v for v in log_coeffs([Fraction(1), *map(Fraction, h)])[1:])
 
 
 def h_star(style: str, k: int) -> Fraction:

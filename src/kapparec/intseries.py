@@ -2,12 +2,12 @@
 denominator: the coefficient ring of the recursion engine's integer core.
 
 A series is ``coeffs`` (key -> nonzero int numerator), ``den`` (a positive
-int), its ``pack`` and the provable truncation ``order`` with the same
-meaning as in :mod:`kapparec.zseries` (``None`` marks an exactly-known
-series).  The coefficients are polynomials in h_1, h_2, ...: the term
-z^j h^alpha sits at the key ``(j << pack.zshift) | pack.pack(alpha)``, so
-keys add as the monomials multiply and sort by exponent first.  With no h
-(an empty pack) the key is j and the value at z^j is ``coeffs[j] / den``.
+int), its ``pack`` and the provable truncation ``order``: every exponent
+below it is exact, and ``None`` marks an exactly-known series.  The
+coefficients are polynomials in h_1, h_2, ...: the term z^j h^alpha sits
+at the key ``(j << pack.zshift) | pack.pack(alpha)``, so keys add as the
+monomials multiply and sort by exponent first.  With no h (an empty pack)
+the key is j and the value at z^j is ``coeffs[j] / den``.
 
 Products and sums reduce nothing: a product multiplies the denominators,
 and a sum rescales to the lcm of its terms' denominators.  A gcd is taken
@@ -23,7 +23,15 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .parampoly import hweight
-from .zseries import _min_order
+
+
+def _min_order(a: int | None, b: int | None) -> int | None:
+    """The smaller of two truncation orders, where None (exact) is the larger."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 class HPacking:

@@ -28,7 +28,9 @@ def add_terms(t: dict, pairs: Iterable[tuple]) -> dict:
 
     Zero coefficients are skipped and a key whose sum cancels is deleted, so
     no term map ever stores a zero.  This is the one zero-eliminating sum
-    behind every sparse class (ParamPoly, ZSeries, KappaPoly, TPoly).
+    behind every sparse class with Fraction or ParamPoly coefficients
+    (ParamPoly, KappaPoly, TPoly and the ZSeries product); IntSeries sums
+    plain int maps.
     """
     for k, c in pairs:
         if not c:

@@ -20,13 +20,14 @@ algebraic curves and topological expansion"), so the other slots would
 repeat it.  Engine.all_slots_agree rebuilds every entry from each of its
 slots and compares the copies exactly.
 
-The recursion runs in an integer core at eps = 1 (IntSeries), from the
-lowered y to the read-off: slices, W and 1/(2 eta) are integer numerators
-over one shared denominator, and 1/(2 eta) is inverted there.  A key packs
-the z-exponent with an h-monomial, and products drop the monomials over
-the h-weight cap; on a curve whose y has no h (kw, k, j, bgw, kstar) the
-packing is empty and a key is just the exponent, while weak-k and weak-j
-carry formal h_i.  eps comes back from a grading
+The curve's y is the one ZSeries the engine reads.  The recursion runs in
+an integer core at eps = 1 (IntSeries), from the lowered y to the
+read-off: slices, W and 1/(2 eta) are integer numerators over one shared
+denominator, and 1/(2 eta) is inverted there.  A key packs the z-exponent
+with an h-monomial (the curve's HPacking), and products drop the monomials
+over the h-weight cap; on a curve whose y has no h (kw, k, j, bgw, kstar)
+the packing is empty and a key is just the exponent, while weak-k and
+weak-j carry formal h_i.  eps comes back from a grading
 (SpectralCurve.eps_weight): y is quasi-homogeneous of degree -1 under
 z -> l z, eps -> l^2 eps, h_i -> l^(-2i) h_i, so the term h^alpha of the
 entry at k of w_{g,n} carries eps^(sum(k)-g+1+hweight(alpha)); kw, bgw and
@@ -71,7 +72,7 @@ class SpectralCurve:
 
     def __init__(self, family: str, y: ZSeries, order: int, n_h: int = 0,
                  h_weight_cap: int | None = None):
-        if y.parity != 1:
+        if any(j % 2 == 0 for j in y.coeffs):
             raise ValueError("y must be odd in z")
         low = y.low()
         if low is None or low < -1:
@@ -149,20 +150,16 @@ def build_curve(family: str, order: int, n_h: int = 0,
     if order < 2:
         raise ValueError("curve order must be at least 2")
     if family == "kw":
-        y = ZSeries({1: 1}, order=None, parity=1)
+        y = ZSeries({1: 1}, order=None)
     elif family == "bgw":
-        y = ZSeries({-1: 1}, order=None, parity=1)
+        y = ZSeries({-1: 1}, order=None)
     elif family == "kstar":
         y = ZSeries({2 * k + 1: 1 for k in range(order // 2 + 1) if 2 * k + 1 < order},
-                    order=order, parity=1)
+                    order=order)
     else:
         # "k"/"j" are the two-parameter curves without formal h-parameters
         htilde = htilde_weak(family[-1], n_h if family.startswith("weak") else 0, (order - 2) // 2)
-        y = ZSeries(
-            {2 * k + 1: c * Fraction(1, odd_df(k)) for k, c in htilde.items()},
-            order=order,
-            parity=1,
-        )
+        y = ZSeries({2 * k + 1: c * Fraction(1, odd_df(k)) for k, c in htilde.items()}, order=order)
     return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=h_weight_cap)
 
 
@@ -172,22 +169,32 @@ Form = tuple[int, tuple[tuple[int, int], ...]]
 
 class Correlator:
     """Finite symmetric table for fixed (g, n): each sorted key (k_1..k_n)
-    holds its entry's Form; ``entries``, ``value``, ``items`` and
-    ``to_json`` read ParamPoly views of them."""
+    holds its entry's Form, whose h-keys are packed by ``pack``;
+    ``entries``, ``value``, ``items`` and ``to_json`` read ParamPoly views
+    of them, with eps restored by the curve's eps ``weight``."""
 
-    __slots__ = ("g", "n", "forms", "_ring")
+    __slots__ = ("g", "n", "forms", "pack", "weight")
 
-    def __init__(self, g: int, n: int, forms: dict[tuple[int, ...], Form], ring: _IntRing):
+    def __init__(self, g: int, n: int, forms: dict[tuple[int, ...], Form], pack: HPacking,
+                 weight: int):
         self.g = g
         self.n = n
         self.forms = forms
-        self._ring = ring
+        self.pack = pack
+        self.weight = weight
 
     def form(self, key: tuple[int, ...]) -> Form | None:
         return self.forms.get(tuple(sorted(key)))
 
     def view(self, key: tuple[int, ...], form: Form) -> ParamPoly:
-        return self._ring.view(sum(key) - self.g + 1, form)
+        """The Form at key as a ParamPoly: the term h^alpha of the entry at k
+        carries eps^(weight*(sum(k)-g+1+hweight(alpha))), the grading of
+        SpectralCurve.eps_weight."""
+        den, pairs = form
+        pack, w, shift = self.pack, self.weight, sum(key) - self.g + 1
+        return ParamPoly.raw({
+            (w * (shift + (h >> pack.wshift)), pack.unpack(h)): Fraction(c, den) for h, c in pairs
+        })
 
     @property
     def entries(self) -> _EntryView:
@@ -204,9 +211,9 @@ class Correlator:
         if not self.forms:
             return None
         # pairs are sorted by h-key, whose top field is the h-weight
-        ws = self._ring.pack.wshift
+        ws = self.pack.wshift
         low = min(sum(key) + (pairs[0][0] >> ws) for key, (_, pairs) in self.forms.items())
-        return self._ring.weight * (low - self.g + 1)
+        return self.weight * (low - self.g + 1)
 
     def to_json(self) -> dict:
         return {
@@ -262,80 +269,50 @@ def levels(budget: int) -> list[tuple[int, int]]:
     ]
 
 
-class _IntRing:
-    """The integer core at eps = 1: IntSeries keyed by the curve's HPacking.
-    On a curve whose y has no h (kw, k, j, bgw, kstar) the packing is empty
-    and a key is its exponent; monomials over the h-weight cap are dropped
-    after every product.
+def _series(pack: HPacking, terms: list[tuple[int, Form, int]]) -> IntSeries | None:
+    """The series sum f*value*z^e over (e, Form, int f) triples, over the
+    lcm of the Forms' denominators; None when it is zero."""
+    den = lcm(*(d for _, (d, _), _ in terms))
+    zs = pack.zshift
+    out: dict[int, int] = {}
+    get = out.get
+    for e, (d, pairs), f in terms:
+        f *= den // d
+        e <<= zs
+        for h, c in pairs:
+            out[e | h] = get(e | h, 0) + c * f
+    out = {j: c for j, c in out.items() if c}
+    return IntSeries(out, den, pack) if out else None
 
-    A ring gives the engine ``series`` (the even series sum f*value*z^e
-    over (e, Form, int f) triples, None when zero), ``w_sum`` (a series
-    plus the (s1, s2, ways) pair products), ``product`` (W times 1/(2 eta)
-    up to z^hi), ``entries`` (its poles as reduced Forms) and ``view`` (a
-    Form as a ParamPoly, eps restored from the grading).
-    """
 
-    def __init__(self, curve: SpectralCurve, weight: int):
-        self.curve = curve
-        self.weight = weight
-        self.pack = curve.pack
-
-    def series(self, terms) -> IntSeries | None:
-        terms = list(terms)
-        den = lcm(*(d for _, (d, _), _ in terms))
-        zs = self.pack.zshift
-        out: dict[int, int] = {}
-        get = out.get
-        for e, (d, pairs), f in terms:
-            f *= den // d
-            e <<= zs
-            for h, c in pairs:
-                out[e | h] = get(e | h, 0) + c * f
-        out = {j: c for j, c in out.items() if c}
-        return IntSeries(out, den, self.pack) if out else None
-
-    def w_sum(self, base: IntSeries | None, products) -> IntSeries:
-        return IntSeries.sum_of_products(base, products, self.pack)
-
-    def product(self, w: IntSeries, hi: int) -> IntSeries:
-        return self.curve.inv2eta().mul(w, hi=hi)
-
-    def entries(self, prod: IntSeries) -> dict[int, Form]:
-        zs = self.pack.zshift
-        hmask = (1 << zs) - 1
-        poles: dict[int, list[tuple[int, int]]] = {}
-        for key, c in prod.coeffs.items():
-            poles.setdefault(key >> zs, []).append((key & hmask, c))
-        out = {}
-        for e, pairs in poles.items():
-            k1 = (-e - 2) // 2
-            den = prod.den * odd_df(k1)
-            d = gcd(den, *(c for _, c in pairs))
-            out[k1] = (den // d, tuple(sorted((h, c // d) for h, c in pairs)))
-        return out
-
-    def view(self, shift: int, form: Form) -> ParamPoly:
-        # the term h^alpha of the entry at k carries
-        # eps^(weight*(sum(k)-g+1+hweight(alpha))), shift = sum(k)-g+1: the
-        # grading of SpectralCurve.eps_weight
-        den, pairs = form
-        pack, w = self.pack, self.weight
-        return ParamPoly.raw({
-            (w * (shift + (h >> pack.wshift)), pack.unpack(h)): Fraction(c, den) for h, c in pairs
-        })
+def _entries(prod: IntSeries) -> dict[int, Form]:
+    """k1 -> the reduced Form of the entry at k1, read off the pole of prod
+    at z^(-2*k1-2) in the (2k1+1)!! basis."""
+    zs = prod.pack.zshift
+    hmask = (1 << zs) - 1
+    poles: dict[int, list[tuple[int, int]]] = {}
+    for key, c in prod.coeffs.items():
+        poles.setdefault(key >> zs, []).append((key & hmask, c))
+    out = {}
+    for e, pairs in poles.items():
+        k1 = (-e - 2) // 2
+        den = prod.den * odd_df(k1)
+        d = gcd(den, *(c for _, c in pairs))
+        out[k1] = (den // d, tuple(sorted((h, c // d) for h, c in pairs)))
+    return out
 
 
 class Engine:
     """Memoizing recursion bound to one spectral curve.
 
-    The recursion itself (which entries to read off, the dimension bound,
-    the order guards) is shared; slices, W, the product with 1/(2 eta) and
-    the stored entries live in the integer core, _IntRing.
+    Slices, W, the product with 1/(2 eta) and the stored entries are
+    IntSeries and Forms keyed by the curve's HPacking; ``weight`` is the
+    curve's eps_weight, which the Correlators' views restore eps by.
     """
 
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
-        self._ring = _IntRing(curve, curve.eps_weight())
+        self.weight = curve.eps_weight()
         self.table: dict[tuple[int, int], Correlator] = {}
         # (g', alpha) -> slice; pure in the append-only table, so it lives
         # exactly as long as the engine
@@ -376,14 +353,14 @@ class Engine:
             # mixed w_{0,2}(z, z_j) against the (2k+1)!! basis: z^{2k}/(2k-1)!!
             k = alpha[0]
             c = Fraction(2 * k + 1, odd_df(k))
-            return self._ring.series([(2 * k, (c.denominator, ((0, c.numerator),)), 1)])
+            return _series(self.curve.pack, [(2 * k, (c.denominator, ((0, c.numerator),)), 1)])
         corr = self.correlator(gp, len(alpha) + 1)
         smax = 3 * gp - 3 + len(alpha) + 1 - sum(alpha)
-        return self._ring.series(
+        return _series(self.curve.pack, [
             (-2 * k - 2, f, odd_df(k))
             for k in range(smax + 1)
             if (f := corr.forms.get(insert_sorted(alpha, k))) is not None
-        )
+        ])
 
     def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> IntSeries:
         # diagonal part w_{g-1, n+1}(z, z, rest)
@@ -420,7 +397,8 @@ class Engine:
                     continue
                 products.append((s1, s2, ways if g1 == g2 and alpha == beta else 2 * ways))
         # every diagonal and slice exponent is even
-        return self._ring.w_sum(self._ring.series(diag), products)
+        pack = self.curve.pack
+        return IntSeries.sum_of_products(_series(pack, diag), products, pack)
 
     def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int) -> dict[int, Form]:
         """k1 -> entry at (k1,) + rest, for every k1 with -2*k1-2 <= hi: the
@@ -428,12 +406,12 @@ class Engine:
         w = self._assemble_w(g, n, rest)
         if w.is_zero():
             return {}
-        prod = self._ring.product(w, hi)
+        prod = self.curve.inv2eta().mul(w, hi=hi)
         if prod.order < hi + 1:
             raise InsufficientOrderError(
                 f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})"
             )
-        return self._ring.entries(prod)
+        return _entries(prod)
 
     def _compute(self, g: int, n: int) -> Correlator:
         # Each sorted entry is read off once, from its largest slot: the active
@@ -455,7 +433,7 @@ class Engine:
                         f"dimension bound violated at ({g}, {n}): k = {rest + (k1,)}"
                     )
                 forms[rest + (k1,)] = f
-        return Correlator(g, n, forms, self._ring)
+        return Correlator(g, n, forms, self.curve.pack, self.weight)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -493,7 +471,7 @@ class Engine:
             sw = self._slice_series(g, rest)
             lhs = two_eta.mul(sw) if sw is not None else None
             top = 0 if lhs is None or lhs.order is None else min(0, lhs.order)
-            top <<= self._ring.pack.zshift  # as a key
+            top <<= self.curve.pack.zshift  # as a key
             poles = [{k: c for k, c in s.items() if k < top} if s is not None else {}
                      for s in (lhs, self._assemble_w(g, n, rest))]
             if poles[0] != poles[1]:

@@ -1,11 +1,10 @@
-"""Truncated Laurent series in one variable z with ParamPoly coefficients.
+"""Truncated Laurent series in one variable z with ParamPoly coefficients:
+the input form of a spectral curve's y, and series_invert, the reference
+that the integer core's inverse is tested against.
 
 Every series carries its provable truncation ``order``: exponents j < order
 are stored exactly, querying j >= order raises :class:`TruncationError`.
 ``order is None`` marks an exactly-known series (finite Laurent polynomial).
-``parity`` (0 even / 1 odd / None mixed) is tracked and asserted: the
-recursion only ever meets definite-parity series, and parity mismatches are
-the cheapest symmetry-bug detector available.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .intseries import _min_order
 from .parampoly import PP_ZERO, ParamPoly, Scalar, add_terms
 
 Coeff = Union[ParamPoly, Fraction, int]
@@ -26,23 +26,10 @@ def _pp(c: Coeff) -> ParamPoly:
     return c if isinstance(c, ParamPoly) else ParamPoly.const(c)
 
 
-def _min_order(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class ZSeries:
-    __slots__ = ("coeffs", "order", "parity")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, Coeff] | None = None,
-        order: int | None = None,
-        parity: int | None = None,
-    ):
+    def __init__(self, coeffs: Mapping[int, Coeff] | None = None, order: int | None = None):
         cs: dict[int, ParamPoly] = {}
         if coeffs:
             for j, c in coeffs.items():
@@ -53,13 +40,8 @@ class ZSeries:
             for j in cs:
                 if j >= order:
                     raise ValueError(f"stored exponent {j} >= order {order}")
-        if parity is not None:
-            for j in cs:
-                if j % 2 != parity:
-                    raise ValueError(f"exponent {j} violates declared parity {parity}")
         self.coeffs = cs
         self.order = order
-        self.parity = parity
 
     # -- basics --------------------------------------------------------------
 
@@ -98,42 +80,16 @@ class ZSeries:
 
     __repr__ = __str__
 
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "ZSeries") -> "ZSeries":
-        order = _min_order(self.order, other.order)
-        cs = add_terms(dict(self.coeffs), other.coeffs.items())
-        if order is not None:
-            cs = {j: c for j, c in cs.items() if j < order}
-        if not self.coeffs:
-            parity = other.parity
-        elif not other.coeffs:
-            parity = self.parity
-        else:
-            parity = self.parity if self.parity == other.parity else None
-        return ZSeries(cs, order=order, parity=parity)
-
-    def __neg__(self) -> "ZSeries":
-        return ZSeries(
-            {j: -c for j, c in self.coeffs.items()}, order=self.order, parity=self.parity
-        )
-
-    def __sub__(self, other: "ZSeries") -> "ZSeries":
-        return self + (-other)
-
     def scale(self, c: ParamPoly | Scalar) -> "ZSeries":
         c = _pp(c)
         if not c:
             return ZSeries.zero(order=self.order)
-        return ZSeries(
-            {j: v * c for j, v in self.coeffs.items()}, order=self.order, parity=self.parity
-        )
+        return ZSeries({j: v * c for j, v in self.coeffs.items()}, order=self.order)
 
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z^k."""
         order = None if self.order is None else self.order + k
-        parity = None if self.parity is None else (self.parity + k) % 2
-        return ZSeries({j + k: c for j, c in self.coeffs.items()}, order=order, parity=parity)
+        return ZSeries({j + k: c for j, c in self.coeffs.items()}, order=order)
 
     # -- multiplication ----------------------------------------------------------
 
@@ -175,11 +131,7 @@ class ZSeries:
                 if order is None or j1 + j2 < order
             ),
         )
-        if self.parity is None or other.parity is None:
-            parity = None
-        else:
-            parity = (self.parity + other.parity) % 2
-        return ZSeries(cs, order=order, parity=parity)
+        return ZSeries(cs, order=order)
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         return self.mul(other)
@@ -229,41 +181,4 @@ def series_invert(s: ZSeries, out_order: int | None = None) -> ZSeries:
         if acc:
             d[k] = -acc
     cs = {k - b: dk * inv_lead for k, dk in d.items()}
-    # the inverse of a definite-parity series has the same parity
-    return ZSeries(cs, order=rel - b, parity=s.parity)
-
-
-def series_exp(s: ZSeries, out_order: int | None = None) -> ZSeries:
-    """exp of a series with zero constant term and no negative exponents."""
-    if s.coeffs and min(s.coeffs) < 1:
-        raise ValueError("exp requires positive valuation (constant term 0)")
-    order = s.order if s.order is not None else out_order
-    if order is None:
-        raise ValueError("out_order required for exp of an exact series")
-    out = ZSeries({0: 1}, order=order)
-    term = ZSeries({0: 1}, order=order)
-    for k in range(1, order):
-        term = term.mul(s, hi=order - 1).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
-
-
-def series_log(s: ZSeries, out_order: int | None = None) -> ZSeries:
-    """log of a series with constant term 1 and no negative exponents."""
-    if s.is_zero() or min(s.coeffs) != 0 or s.coeffs[0] != ParamPoly.one():
-        raise ValueError("log requires constant term 1")
-    order = s.order if s.order is not None else out_order
-    if order is None:
-        raise ValueError("out_order required for log of an exact series")
-    u = s - ZSeries({0: 1}, order=order)
-    out = ZSeries.zero(order=order)
-    term = ZSeries({0: 1}, order=order)
-    for k in range(1, order):
-        term = term.mul(u, hi=order - 1)
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
-
+    return ZSeries(cs, order=rel - b)

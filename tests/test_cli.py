@@ -216,6 +216,12 @@ def test_bad_arguments_are_usage_errors(capsys):
         (["correlators", "--g", "-1", "--n", "5"], "--g"),
         (["hurwitz", "--g", "-1", "--partition", "1,1,1,1,1"], "--g"),
         (["potentials", "--t-max", "-1"], "--t-max"),
+    ) + tuple(
+        # a negative budget is refused before any suite runs, also where the
+        # suite's offset would leave something to check
+        (["verify", "--suite", suite, "--epsilon-budget", budget], "--epsilon-budget must be non-negative")
+        for suite, budget in (("regularity", "-1"), ("hurwitz", "-5"), ("conjecture", "-3"),
+                              ("virasoro", "-5"), ("virasoro", "-2"), ("kdv", "-10"), ("bgw", "-1"))
     ):
         code, out, err = run(capsys, args)
         assert code == 2 and out == "" and msg in err, args
@@ -224,12 +230,7 @@ def test_bad_arguments_are_usage_errors(capsys):
 def test_verify_nothing_checked(capsys):
     for suite, budget in (
         ("regularity", "0"),
-        ("regularity", "-1"),
         ("hurwitz", "0"),
-        ("hurwitz", "-5"),
-        ("conjecture", "-3"),
-        ("virasoro", "-5"),
-        ("kdv", "-10"),
     ):
         code, out, err = run(capsys, ["verify", "--suite", suite, "--epsilon-budget", budget])
         assert code == 2 and "PASS" not in out and "nothing checked" in err, suite

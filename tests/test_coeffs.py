@@ -9,15 +9,16 @@ from kapparec.coeffs import (
     alternating_product_series,
     ell_from_ab,
     ell_via_ode,
+    exp_coeffs,
     h_from_s,
     h_star,
+    log_coeffs,
     p_sequence,
     s_from_h,
     s_sequence,
     sigma_sequence,
 )
 from kapparec.rationals import fact, odd_df
-from kapparec.zseries import ZSeries, series_exp
 
 
 def test_named_sequences():
@@ -33,8 +34,7 @@ def test_defining_series_are_the_double_factorials():
         ((3, 2), [odd_df(k) for k in range(6)]),
         ((1, 2), [odd_df(k - 1) for k in range(6)]),
     ):
-        s = alternating_product_series(F(a), F(b), 6)
-        assert [s.coeff(k).as_fraction() for k in range(6)] == [
+        assert alternating_product_series(F(a), F(b), 6) == [
             F((-1) ** k) * v for k, v in enumerate(vals)
         ]
 
@@ -60,9 +60,26 @@ def test_reexponentiation_recovers_product_series():
     for a, b in ((F(1), F(1)), (F(3), F(2)), (F(5, 2), F(-1, 3))):
         n = 8
         ell = ell_from_ab(a, b, n)
-        e = series_exp(ZSeries({i + 1: -ell[i] for i in range(n)}, order=n + 1))
-        ref = alternating_product_series(a, b, n + 1)
-        assert e.coeffs == ref.coeffs
+        assert exp_coeffs([0, *(-v for v in ell)]) == alternating_product_series(a, b, n + 1)
+
+
+def test_exp_log_coeffs_roundtrip_and_examples():
+    assert log_coeffs([F(1)] + [F(0)] * 4) == [0] * 5
+    assert exp_coeffs([F(0)] * 5) == [1, 0, 0, 0, 0]
+    # log(1 - t + 2t^2 - 6t^3) = -t + 3/2 t^2 - 13/3 t^3 + O(t^4)
+    assert log_coeffs([F(1), F(-1), F(2), F(-6)]) == [0, -1, F(3, 2), F(-13, 3)]
+    # log(1 - 3t + 15t^2 - 105t^3) = -3t + 21/2 t^2 - 69 t^3 + O(t^4)
+    logs = log_coeffs([F(1), F(-3), F(15), F(-105)])
+    assert logs == [0, -3, F(21, 2), -69]
+    assert exp_coeffs(logs) == [1, -3, 15, -105]
+    rng = random.Random(5)
+    for _ in range(10):
+        u = [F(0)] + [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
+        assert log_coeffs(exp_coeffs(u)) == u
+    with pytest.raises(ValueError):
+        log_coeffs([F(2), F(1)])
+    with pytest.raises(ValueError):
+        exp_coeffs([F(1), F(1)])
 
 
 def test_h_from_s_examples():

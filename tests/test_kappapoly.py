@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +74,22 @@ def test_family_goldens():
     assert K[0] == KappaPoly.one()
     assert J[0] == KappaPoly.one()
     assert p_polys(2)[2].terms == kappa_only({(1, 1): F(1, 2), (2,): F(-5, 2)})
+
+
+# sha256 of the canonical JSON of the degree 0..10 family polynomials, as
+# computed when the sequences came from exp/log on ZSeries of ParamPoly
+FAMILY_DIGESTS = {
+    "k": "16cebea97bdf2447b5a734e781deb61bd131261d90bd3bd96fed789c9f92ce70",
+    "j": "d7869308bc5f333d2567ae5ca55370c48c1a35ecb8c2b85b8c07c51be4cc2a33",
+    "p": "fcb334ca88f320dd7bcb025ea951e6d95dc9b9ae8cce30a7bff88fe5d866d5aa",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS))
+def test_family_polys_match_pinned_digests(family):
+    polys = {"k": k_polys, "j": j_polys, "p": p_polys}[family](10)
+    blob = json.dumps([p.to_json() for p in polys], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == FAMILY_DIGESTS[family]
 
 
 def test_homogeneity_and_kappa_m_coefficient():

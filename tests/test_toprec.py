@@ -17,7 +17,6 @@ from kapparec.toprec import (
     Engine,
     InsufficientOrderError,
     SpectralCurve,
-    _IntRing,
     _sorted_tuples,
     build_curve,
     correlators_to_potential,
@@ -40,9 +39,9 @@ def test_curve_construction_invariants():
     assert inv.coeff(-1) == ParamPoly.eps(1)
     assert inv.coeff(1) == ParamPoly.one()
     assert all(not inv.coeff(j) for j in range(2, inv.order))
-    # eta/dz = z y(z) is even with leading unit
+    # eta/dz = z y(z) is even with leading unit eps^-1 z^2
     eta = c.eta_over_dz()
-    assert eta.parity == 0
+    assert all(j % 2 == 0 for j in eta.coeffs) and eta.items()[0] == (2, ParamPoly.eps(-1))
     cj = build_curve("j", 12)
     invj = series_invert(cj.y)
     expected = {
@@ -184,7 +183,7 @@ def _substituted_curve(family: str, order: int, eps: int, n_h: int = 0) -> Spect
     hand: the engine sees coefficients free of eps and runs no grading."""
     cap = n_h or None
     y = build_curve(family, order, n_h=n_h, h_weight_cap=cap).y
-    y = ZSeries({j: c.subs_eps(eps) for j, c in y.coeffs.items()}, order=y.order, parity=1)
+    y = ZSeries({j: c.subs_eps(eps) for j, c in y.coeffs.items()}, order=y.order)
     return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=cap)
 
 
@@ -231,9 +230,22 @@ def test_eps_is_a_grading_on_the_weak_curves(family):
     assert terms > 1000
 
 
+def test_curve_input_is_checked():
+    # y must be odd in z with at most a simple pole at z = 0
+    SpectralCurve("k", ZSeries({-1: 1, 1: 1, 3: ParamPoly.h(1)}, order=6), 6, n_h=1)
+    for y in (ZSeries({1: 1, 2: 1}, order=6), ZSeries({0: 1}), ZSeries({-2: 1, 1: 1}, order=6)):
+        with pytest.raises(ValueError, match="y must be odd in z"):
+            SpectralCurve("k", y, 6)
+    for y in (ZSeries({-3: 1, 1: 1}, order=6), ZSeries({-5: 1})):
+        with pytest.raises(ValueError, match="at most a simple pole"):
+            SpectralCurve("k", y, 6)
+    with pytest.raises(ValueError, match="at most a simple pole"):
+        SpectralCurve("k", ZSeries({}), 6)
+
+
 def test_a_curve_fitting_no_grading_is_refused():
     # y = z + eps z^3: the z term fits only weight 0, the z^3 term neither
-    y = ZSeries({1: ParamPoly.one(), 3: ParamPoly.eps(1)}, order=6, parity=1)
+    y = ZSeries({1: ParamPoly.one(), 3: ParamPoly.eps(1)}, order=6)
     with pytest.raises(ValueError, match="no eps grading"):
         Engine(SpectralCurve("k", y, 6))
 
@@ -268,7 +280,6 @@ def test_a_short_y_is_caught_by_the_product_order_guard():
     # precheck passes, and the integer core must refuse at the product
     short = build_curve("k", 6).y
     eng = Engine(SpectralCurve("k", short, required_order(2, 1)))
-    assert isinstance(eng._ring, _IntRing)
     eng.correlator(0, 3)
     with pytest.raises(InsufficientOrderError, match="product order"):
         eng.correlator(2, 1)
@@ -289,7 +300,7 @@ def test_integer_inverse_equals_the_lowered_reference(family):
 
 
 def test_integer_inverse_raises_the_reference_errors():
-    y = ZSeries({1: ParamPoly.h(1), 3: 1}, order=6, parity=1)
+    y = ZSeries({1: ParamPoly.h(1), 3: 1}, order=6)
     curve = SpectralCurve("weak-k", y, 6, n_h=1)
     cases = [
         (ZSeries({2: ParamPoly.h(1, coeff=2), 4: 2}, order=7), None),
@@ -407,7 +418,7 @@ def test_slot_check_catches_an_asymmetric_table():
         key = max(forms)
         den, ((h, num),) = forms[key]
         forms[key] = (den, ((h, num + den),))
-        eng.table[gn] = Correlator(*gn, forms, eng._ring)
+        eng.table[gn] = Correlator(*gn, forms, eng.curve.pack, eng.weight)
         return eng
 
     assert Engine(build_curve("kw", required_order(1, 3))).all_slots_agree(1, 2)
