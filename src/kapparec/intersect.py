@@ -27,6 +27,13 @@ of psi classes along the maps forgetting points:
         = sum_{set partitions P of [m]} (-1)^{m - |P|}
           < prod tau_{d_i} prod_{B in P} tau_{b_B + 1} >_g,   b_B = sum_{j in B} b_j.
 
+The partitions are not listed: ``signed_block_keys`` counts them by their
+merged key sorted(b_B + 1) with a DP on the block holding the first kappa.
+Each merged key is stable and on dimension, and its scale is _scale(g, d)
+times f = 8^|P| prod (2 b_B + 3)!!, so one denominator D = lcm(f) per kappa
+monomial turns the sum into sum count * (D / f) * N(g; d, merged) over
+integers, divided once by _scale(g, d) * D.
+
 The exponential class exp(sum s_i kappa_i), with its shift coordinates
 h_i given numerically, is paired with psi^k through the time-shift
 expansion (kclass_psi)
@@ -46,7 +53,8 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import gcd, prod
+from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .kappapoly import (
@@ -57,7 +65,7 @@ from .kappapoly import (
     insert_sorted,
     multiplicities,
     partitions,
-    set_partitions,
+    signed_block_keys,
 )
 from .rationals import odd_df, rat_parse, rat_str
 
@@ -70,6 +78,17 @@ Zero = Fraction(0)
 def _scale(g: int, ds: Sequence[int]) -> int:
     """8^(2g-2+n) prod (2d_i+1)!!, the factor taking <tau_ds>_g to the integer N(g, ds)."""
     return 8 ** (2 * g - 2 + len(ds)) * prod(map(odd_df, ds))
+
+
+@lru_cache(maxsize=None)
+def _block_terms(lam: Partition) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """signed_block_keys of the non-increasing lam over one denominator D:
+    pairs (key, count * D / f) and D = lcm of the f = 8^len(key) prod (2s+1)!!,
+    the factor by which _scale(g, psis + key) exceeds _scale(g, psis)."""
+    keys = signed_block_keys(lam[::-1])
+    factors = [8 ** len(key) * prod(map(odd_df, key)) for key, _ in keys]
+    d = lcm(*factors)
+    return tuple((key, c * (d // f)) for (key, c), f in zip(keys, factors)), d
 
 
 def _key_str(g: int, psis: Sequence[int], lam: Sequence[int]) -> str:
@@ -302,7 +321,9 @@ class IntersectionOracle:
             raise ValueError("unstable (g, n)")
         if not lam:
             return self.kw_number(g, psis)
-        if sum(lam) + sum(psis) != 3 * g - 3 + n:
+        if lam[-1] < 0:
+            raise ValueError("kappa indices must be non-negative")
+        if sum(lam) + sum(psis) != 3 * g - 3 + n or (psis and psis[0] < 0):
             return Zero
         key = (g, psis, lam)
         hit = self._kpsi.get(key)
@@ -313,12 +334,9 @@ class IntersectionOracle:
             if c is not None:
                 self._kpsi[key] = c
                 return c
-        # partitions with the same merged psi key share one kw_number call
-        signed: dict[tuple[int, ...], int] = {}
-        for blocks in set_partitions(lam):
-            merged = tuple(sorted(sum(block) + 1 for block in blocks))
-            signed[merged] = signed.get(merged, 0) + (-1) ** (len(lam) - len(blocks))
-        val = sum((c * self.kw_number(g, psis + merged) for merged, c in signed.items()), Zero)
+        terms, d = _block_terms(lam)
+        num = sum(c * self._normalized(g, tuple(sorted(psis + merged))) for merged, c in terms)
+        val = Fraction(num, _scale(g, psis) * d)
         self._kpsi[key] = val
         if self.cache is not None:
             self.cache.put(g, psis, lam, val)

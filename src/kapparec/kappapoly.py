@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coeffs import ell_from_ab
 from .parampoly import ParamPoly, add_terms, mul_terms
@@ -91,17 +91,27 @@ def cached_multiset_splits(mu: tuple[int, ...]) -> tuple[Split, ...]:
     return tuple(multiset_splits(mu))
 
 
-def set_partitions(items: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
-    """Every set partition of the labeled slots of items, as its list of
-    blocks; equal items in different slots count as different elements."""
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for blocks in set_partitions(items[1:]):
-        yield [(first,), *blocks]
-        for i, block in enumerate(blocks):
-            yield [*blocks[:i], (first, *block), *blocks[i + 1 :]]
+@lru_cache(maxsize=None)
+def signed_block_keys(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The set partitions P of the labeled slots of lam (sorted ascending),
+    summed by their merged key sorted(b_B + 1 for B in P), b_B the sum of
+    block B: each key with its signed count sum (-1)^(len(lam) - |P|), as
+    (key, count) pairs.
+
+    A DP on the block holding lam[0]: it takes a sub-multiset alpha of the
+    other slots, in ``ways`` labeled choices and with sign (-1)^len(alpha),
+    and the rest beta is partitioned recursively.  Zero counts are dropped.
+    """
+    if not lam:
+        return (((), 1),)
+    out: dict[tuple[int, ...], int] = {}
+    for alpha, beta, ways in cached_multiset_splits(lam[1:]):
+        part = lam[0] + sum(alpha) + 1
+        signed = -ways if len(alpha) % 2 else ways
+        for key, c in signed_block_keys(beta):
+            key = insert_sorted(key, part)
+            out[key] = out.get(key, 0) + signed * c
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def _canon(p: Iterable[int]) -> Partition:

@@ -72,10 +72,11 @@ class SpectralCurve:
 
     def __init__(self, family: str, y: ZSeries, order: int, n_h: int = 0,
                  h_weight_cap: int | None = None):
+        if y.is_zero():  # zero below its order too: 2 eta has no inverse
+            raise ValueError("y must not be zero")
         if any(j % 2 == 0 for j in y.coeffs):
             raise ValueError("y must be odd in z")
-        low = y.low()
-        if low is None or low < -1:
+        if y.low() < -1:
             raise ValueError("y may have at most a simple pole at z = 0")
         self.family = family
         self.y = y

@@ -281,3 +281,12 @@ def test_verify_reports_effective_budget(capsys):
     assert code == 0 and out == default_out and "note" not in err
     code, out, err = run(capsys, ["verify", "--suite", "kdv", "--epsilon-budget", "20", "--format", "json"])
     assert code == 0 and json.loads(out)["effective_budget"] == 8 and err == ""
+
+
+def test_conjecture_genus_range_follows_the_budget(capsys):
+    # dim 3g - 3 + n <= 9 reaches g = 4 at n = 0
+    code, out, err = run(capsys, ["verify", "--suite", "conjecture", "--epsilon-budget", "7", "--format", "json"])
+    blob = json.loads(out)
+    assert code == 0 and err == "" and blob["effective_budget"] == 9
+    assert len(blob["rows"]) == 48
+    assert any("(g,n)=(4,0)" in row for row in blob["rows"])

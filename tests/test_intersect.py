@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -8,8 +9,16 @@ from math import prod
 import pytest
 
 from kapparec.intersect import Cache, IntersectionOracle, _key_str, _scale
-from kapparec.kappapoly import KappaPoly, cached_multiset_splits, j_polys, k_polys, multiplicities
-from kapparec.rationals import odd_df
+from kapparec.kappapoly import (
+    KappaPoly,
+    cached_multiset_splits,
+    j_polys,
+    k_polys,
+    multiplicities,
+    partitions,
+    signed_block_keys,
+)
+from kapparec.rationals import odd_df, rat_str
 
 from conftest import bernoulli
 
@@ -159,10 +168,66 @@ def test_kappa_psi_basics(oracle):
         assert oracle.kappa_psi_number(0, n, (0,) * n, (1,) * (n - 3)) == want, n
     assert oracle.kappa_psi_number(1, 2, (0, 0), (1, 1)) == F(1, 8)
     assert oracle.kappa_psi_number(2, 0, (), (1, 1, 1)) == F(43, 2880)
-    # off-dimension input is zero
+    # off-dimension input is zero, and so is a negative psi exponent
     assert oracle.kappa_psi_number(1, 1, (0,), (1, 1)) == 0
+    assert oracle.kappa_psi_number(1, 2, (-1, 0), (3,)) == 0
     with pytest.raises(ValueError):
         oracle.kappa_psi_number(0, 2, (0, 0), (1,))
+    with pytest.raises(ValueError, match="kappa indices"):
+        oracle.kappa_psi_number(1, 1, (0,), (2, -1))
+
+
+def set_partitions(items):
+    """Every set partition of the labeled slots of items, as its list of
+    blocks; equal items in different slots count as different elements.
+    The enumeration the oracle once summed over, kept as the reference for
+    signed_block_keys."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for blocks in set_partitions(items[1:]):
+        yield [(first,), *blocks]
+        for i, block in enumerate(blocks):
+            yield [*blocks[:i], (first, *block), *blocks[i + 1 :]]
+
+
+def test_signed_block_keys_equals_the_set_partition_sum():
+    # every kappa monomial of weight <= 9, up to kappa_1^9 with Bell(9) = 21147 partitions
+    lams = [lam[::-1] for w in range(1, 10) for lam in partitions(w)]
+    for lam in lams:
+        want = {}
+        for blocks in set_partitions(lam):
+            merged = tuple(sorted(sum(block) + 1 for block in blocks))
+            want[merged] = want.get(merged, 0) + (-1) ** (len(lam) - len(blocks))
+        assert dict(signed_block_keys(lam)) == {k: c for k, c in want.items() if c}, lam
+    assert len(lams) == 96
+    assert signed_block_keys(()) == (((), 1),)
+
+
+# sha256 of "g;psis;lam=value" lines of every kappa_psi_number with g <= 4,
+# dim <= 8, every sorted psi vector and every non-empty lam, as the oracle
+# computed them by listing set partitions
+KAPPA_PSI_DIGEST = "cb159e30e67c2a13476a52d61fb38e7774ba06dc7bea2336a00b3612e81ca4df"
+
+
+def test_kappa_psi_numbers_match_pinned_digest():
+    from kapparec.toprec import _sorted_tuples
+
+    o = IntersectionOracle()
+    lines = []
+    for g in range(5):
+        for n in range(12):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0 or dim > 8:
+                continue
+            for psis in _sorted_tuples(n, dim):
+                if sum(psis) < dim:
+                    for lam in partitions(dim - sum(psis)):
+                        val = rat_str(o.kappa_psi_number(g, n, psis, lam))
+                        lines.append(f"{g};{','.join(map(str, psis))};{','.join(map(str, lam))}={val}")
+    assert len(lines) == 1237
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KAPPA_PSI_DIGEST
 
 
 def test_integrate_linearity_and_families(oracle):
@@ -304,10 +369,6 @@ def test_shift_route_equals_set_partition_route():
     # Q_lam = prod_v s_v^{a_v} / a_v!, so for numeric h the shift expansion
     # (kclass_psi) equals the kappa monomials (kappa_psi_number) weighted
     # by Q_lam(s(h)); the two routes share only the psi numbers
-    from kapparec.coeffs import s_from_h
-    from kapparec.kappapoly import multiplicities, partitions
-    from kapparec.rationals import fact
-
     o = IntersectionOracle()
     rng = random.Random(6)
     cases = 0
@@ -317,16 +378,38 @@ def test_shift_route_equals_set_partition_route():
             if 2 * g - 2 + n <= 0 or not 0 < dim <= 7:
                 continue
             for psis in _psi_monomials(n, rng.randint(0, dim - 1)):
-                w = dim - sum(psis)
-                h = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(w)]
-                s = s_from_h(h)
-                want = F(0)
-                for lam in partitions(w):
-                    q = F(1)
-                    for v, a in multiplicities(lam).items():
-                        q *= s[v - 1] ** a / fact(a)
-                    want += q * o.kappa_psi_number(g, n, psis, lam)
-                got = o.kclass_psi(g, psis, {i + 1: h[i] for i in range(w)})
-                assert got == want, (g, psis, h)
+                _assert_shift_route(o, g, psis, rng)
                 cases += 1
     assert cases == 33
+
+
+def test_shift_route_equals_set_partition_route_deep():
+    # dims 8-10 at psi degree <= 2, so kappa monomials up to kappa_1^10
+    # (Bell(10) = 115975 set partitions) are summed
+    o = IntersectionOracle()
+    rng = random.Random(8)
+    cases = 0
+    for g, n in ((1, 8), (2, 5), (3, 2), (2, 6), (4, 0), (3, 4), (4, 1)):
+        for deg in range(3):
+            for psis in _psi_monomials(n, deg):
+                _assert_shift_route(o, g, psis, rng)
+                cases += 1
+    assert cases == 24
+
+
+def _assert_shift_route(o, g, psis, rng):
+    from kapparec.coeffs import s_from_h
+    from kapparec.rationals import fact
+
+    n = len(psis)
+    w = 3 * g - 3 + n - sum(psis)
+    h = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(w)]
+    s = s_from_h(h)
+    want = F(0)
+    for lam in partitions(w):
+        q = F(1)
+        for v, a in multiplicities(lam).items():
+            q *= s[v - 1] ** a / fact(a)
+        want += q * o.kappa_psi_number(g, n, psis, lam)
+    got = o.kclass_psi(g, psis, {i + 1: h[i] for i in range(w)})
+    assert got == want, (g, psis, h)

@@ -239,8 +239,10 @@ def test_curve_input_is_checked():
     for y in (ZSeries({-3: 1, 1: 1}, order=6), ZSeries({-5: 1})):
         with pytest.raises(ValueError, match="at most a simple pole"):
             SpectralCurve("k", y, 6)
-    with pytest.raises(ValueError, match="at most a simple pole"):
-        SpectralCurve("k", ZSeries({}), 6)
+    # exactly zero, and zero below its order
+    for y in (ZSeries({}), ZSeries({}, order=6)):
+        with pytest.raises(ValueError, match="y must not be zero"):
+            SpectralCurve("k", y, 6)
 
 
 def test_a_curve_fitting_no_grading_is_refused():
