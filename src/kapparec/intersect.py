@@ -14,10 +14,13 @@ exponent k, plus N(0; 0,0,0) = 8 and N(1; 1) = 1:
     N(g; k, mu) = 8 sum_v m_v (2v+1) N(g; k+v-1, mu minus v) + 4 sum_{a+b=k-2}
         [N(g-1; a, b, mu) + sum_{alpha+beta=mu} N(g1; a, alpha) N(g-g1; b, beta)].
 
-The dimension constraint fixes g1, so each split is evaluated once.  N is an
-integer by induction on chi: the string, dilaton and merge terms have chi - 1
-and integer coefficients, so 8^chi gives them a factor 8; the other terms
-carry DVV's one 1/2 and chi's summing to chi - 1, so they get 8/2 = 4.
+The bracket is unchanged by the mirror (a, alpha, g1) <-> (b, beta, g - g1),
+so a <= b is summed and a < b counts twice; the dimension fixes
+3 g1 = a + sum(alpha) + 2 - len(alpha), so a steps by 3 in one residue class per
+split while 0 <= g1 <= g.  N is an integer by induction on chi: the string,
+dilaton and merge terms have chi - 1 and integer coefficients, so 8^chi gives
+them a factor 8; the other terms carry DVV's one 1/2 and chi's summing to
+chi - 1, so they get 8/2 = 4.
 
 Kappa insertions are reduced by the set-partition formula of
 Arbarello-Cornalba and Kaufmann-Manin-Zagier, which inverts the push-forward
@@ -112,16 +115,18 @@ def parse_key(key: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 def _off_lattice(key: str, value: Fraction) -> bool:
     """Whether key is a stable psi-only key at which no psi number equals value:
     off dimension, or a denominator not dividing _scale, tested without forming
-    _scale (a key may hold a huge exponent) by dividing out odd factors until 1."""
+    _scale (a key may hold a huge exponent) by dividing out odd factors until 1.
+    The key is split once; a key parse_key would refuse is never off lattice."""
     q = value.denominator
     if q == 1 or not key.endswith(";"):
         return False
+    g, sep, psis = key[:-1].partition(";")
     try:
-        g, psis, _ = parse_key(key)
+        g, psis = int(g), list(map(int, psis.split(","))) if psis else []
     except ValueError:
         return False
     chi = 2 * g - 2 + len(psis)
-    if chi <= 0:
+    if not sep or min([g, *psis]) < 0 or chi <= 0:
         return False
     if sum(psis) != 3 * g - 3 + len(psis):
         return True
@@ -261,25 +266,31 @@ class IntersectionOracle:
 
     def _dvv(self, g: int, ds: tuple[int, ...]) -> int:
         """DVV recursion for N on the largest exponent ds[-1] of the sorted key."""
-        k1 = ds[-1]
-        mu = ds[:-1]
+        k1, mu = ds[-1], ds[:-1]
+        kw = self._kw
         merged = 0
         for v, m in multiplicities(mu).items():
             if k1 + v:
                 i = mu.index(v)
                 merged += m * (2 * v + 1) * self._normalized(g, insert_sorted(mu[:i] + mu[i + 1 :], k1 + v - 1))
+        half = (k1 - 2) // 2
         quadratic = 0
-        for a in range(0, k1 - 1):
-            b = k1 - 2 - a
-            quadratic += self._normalized(g - 1, insert_sorted(insert_sorted(mu, a), b))
-            for alpha, beta, ways in cached_multiset_splits(mu):
-                # N(g1; a, alpha) is off dimension unless this divides exactly
-                g1, r = divmod(a + sum(alpha) + 2 - len(alpha), 3)
-                if r or g1 < 0 or g1 > g:
-                    continue
-                v1 = self._normalized(g1, insert_sorted(alpha, a))
+        # memo hits are read without the call; `or` falls through on a miss (or a stored 0)
+        for a in range(half + 1):
+            key = insert_sorted(insert_sorted(mu, a), k1 - 2 - a)
+            v = kw.get((g - 1, key)) or self._normalized(g - 1, key)
+            quadratic += v if 2 * a == k1 - 2 else 2 * v
+        for alpha, beta, ways in cached_multiset_splits(mu):
+            # N(g1; a, alpha) is on dimension at a = 3 g1 - s, and 0 <= g1 <= g
+            s = sum(alpha) + 2 - len(alpha)
+            for a in range(max(-s, -s % 3), min(half, 3 * g - s) + 1, 3):
+                g1 = (a + s) // 3
+                key = insert_sorted(alpha, a)
+                v1 = kw.get((g1, key)) or self._normalized(g1, key)
                 if v1:
-                    quadratic += ways * v1 * self._normalized(g - g1, insert_sorted(beta, b))
+                    key = insert_sorted(beta, k1 - 2 - a)
+                    v2 = kw.get((g - g1, key)) or self._normalized(g - g1, key)
+                    quadratic += (ways if 2 * a == k1 - 2 else 2 * ways) * v1 * v2
         base = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0
         return 8 * merged + 4 * quadratic + base
 
@@ -335,7 +346,10 @@ class IntersectionOracle:
                 self._kpsi[key] = c
                 return c
         terms, d = _block_terms(lam)
-        num = sum(c * self._normalized(g, tuple(sorted(psis + merged))) for merged, c in terms)
+        num = 0
+        for merged, c in terms:
+            ds = tuple(sorted(psis + merged))
+            num += c * (self._kw.get((g, ds)) or self._normalized(g, ds))
         val = Fraction(num, _scale(g, psis) * d)
         self._kpsi[key] = val
         if self.cache is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .coeffs import ell_from_ab
@@ -37,10 +38,6 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
         for rest in partitions(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def merge_partitions(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
 
 
 def multiplicities(p: Sequence[int]) -> dict[int, int]:
@@ -248,45 +245,32 @@ class KappaPoly:
 
 
 def _product_key(k1: Key, k2: Key) -> Key:
-    return merge_partitions(k1[0], k2[0]), tuple(x + y for x, y in zip(k1[1], k2[1]))
+    return tuple(sorted(k1[0] + k2[0], reverse=True)), tuple(x + y for x, y in zip(k1[1], k2[1]))
 
 
 def expand_family(ell: Sequence[Fraction], m_max: int) -> list[KappaPoly]:
-    """Graded pieces L_0..L_{m_max} of exp(sum_i ell_i kappa_i)."""
+    """Graded pieces L_0..L_{m_max} of exp(sum_i ell_i kappa_i): L_m is the sum over
+    partitions lam of m of prod_i ell_i^{a_i} / a_i! kappa_lam, a_i the multiplicity
+    of i in lam.  It reads only ell_1..ell_m, so it is built once per prefix."""
     if len(ell) < m_max:
         raise ValueError("need at least m_max sequence values")
-    pieces: list[KappaPoly] = [KappaPoly.one()] + [KappaPoly() for _ in range(m_max)]
-    for i in range(1, m_max + 1):
-        li = Fraction(ell[i - 1])
-        if not li:
-            continue
-        # multiply the accumulated expansion by exp(ell_i kappa_i), graded
-        factor_pows: list[tuple[int, Fraction, Partition]] = []
-        power = Fraction(1)
-        for j in range(1, m_max // i + 1):
-            power *= li
-            factor_pows.append((i * j, power / fact(j), (i,) * j))
-        updated = [KappaPoly(dict(p.terms)) for p in pieces]
-        for deg, coeff, part in factor_pows:
-            for m in range(0, m_max - deg + 1):
-                add_terms(
-                    updated[m + deg].terms,
-                    (
-                        ((merge_partitions(p, part), ()), c * coeff)
-                        for (p, _), c in pieces[m].terms.items()
-                    ),
-                )
-        pieces = updated
-    return pieces
+    ell = tuple(map(Fraction, ell[:m_max]))
+    return [_graded_piece(ell[:m]) for m in range(m_max + 1)]
+
+
+@lru_cache(maxsize=None)
+def _graded_piece(ell: tuple[Fraction, ...]) -> KappaPoly:
+    """L_m of exp(sum_i ell_i kappa_i) for m = len(ell)."""
+    return KappaPoly({
+        (lam, ()): prod(ell[v - 1] ** a / fact(a) for v, a in multiplicities(lam).items())
+        for lam in partitions(len(ell))
+    })
 
 
 @lru_cache(maxsize=None)
 def family_polys(a: Fraction, b: Fraction, m_max: int) -> tuple[KappaPoly, ...]:
     """L^(a,b)_0..L^(a,b)_{m_max}; (3,2) gives the K family, (1,1) the J family."""
-    if m_max == 0:
-        return (KappaPoly.one(),)
-    ell = ell_from_ab(Fraction(a), Fraction(b), m_max)
-    return tuple(expand_family(list(ell), m_max))
+    return tuple(expand_family(ell_from_ab(Fraction(a), Fraction(b), max(m_max, 1)), m_max))
 
 
 def k_polys(m_max: int) -> tuple[KappaPoly, ...]:
@@ -330,12 +314,12 @@ def pullback(P: KappaPoly, a: Fraction, b: Fraction) -> KappaPoly:
     if P != fam[m]:
         raise ValueError("input is not the (a,b) family polynomial of its degree")
     out = KappaPoly(n=1)
-    prod = Fraction(1)
+    rising = Fraction(1)
     for i in range(0, m + 1):
         if i > 0:
-            prod *= Fraction(a) + (i - 1) * Fraction(b)
+            rising *= Fraction(a) + (i - 1) * Fraction(b)
         contrib = KappaPoly(
-            {(p, (i,)): c * Fraction((-1) ** i) * prod for (p, _), c in fam[m - i].terms.items()}, 1
+            {(p, (i,)): c * Fraction((-1) ** i) * rising for (p, _), c in fam[m - i].terms.items()}, 1
         )
         out = out + contrib
     return out

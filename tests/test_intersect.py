@@ -155,7 +155,7 @@ def test_one_point_ladder_closed_form():
     from math import factorial
 
     o = IntersectionOracle()
-    for g in range(1, 13):
+    for g in range(1, 15):
         assert o.kw_number(g, (3 * g - 2,)) == F(1, 24**g * factorial(g))
 
 
@@ -175,6 +175,18 @@ def test_kappa_psi_basics(oracle):
         oracle.kappa_psi_number(0, 2, (0, 0), (1,))
     with pytest.raises(ValueError, match="kappa indices"):
         oracle.kappa_psi_number(1, 1, (0,), (2, -1))
+
+
+def test_repeated_kappa_psi_number_reads_its_memo():
+    o = IntersectionOracle()
+    key = (2, (0, 1), (2, 1, 1))
+    first = o.kappa_psi_number(2, 2, (1, 0), (1, 2, 1))
+    # stored under its own kappa key, never under one of the psi keys it summed
+    assert list(o._kpsi) == [key] and o._kpsi[key] == first
+    psi_numbers = dict(o._kw)
+    o._kpsi[key] = marker = F(-7, 3)
+    assert o.kappa_psi_number(2, 2, (0, 1), (2, 1, 1)) is marker
+    assert o._kw == psi_numbers
 
 
 def set_partitions(items):

@@ -6,10 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from kapparec.coeffs import ell_from_ab
 from kapparec.intersect import IntersectionOracle
 from kapparec.kappapoly import (
     KappaPoly,
     expand_family,
+    family_polys,
     j_polys,
     k_polys,
     kappa_substitute_pullback,
@@ -110,6 +112,35 @@ def test_homogeneity_and_kappa_m_coefficient():
 def test_expand_family_validates_length():
     with pytest.raises(ValueError):
         expand_family([F(1)], 3)
+
+
+def graded_product(ell, m_max):
+    """L_0..L_{m_max} as the graded product over i of exp(ell_i kappa_i), one
+    factor at a time: the expansion the families were once built by, kept
+    as the reference for expand_family's partition formula."""
+    pieces = [KappaPoly.one()] + [KappaPoly() for _ in range(m_max)]
+    for i in range(1, m_max + 1):
+        updated = list(pieces)
+        power = F(1)
+        for j in range(1, m_max // i + 1):
+            power *= F(ell[i - 1])
+            factor = KappaPoly({((i,) * j, ()): power / fact(j)})
+            for m in range(m_max - i * j + 1):
+                updated[m + i * j] = updated[m + i * j] + pieces[m] * factor
+        pieces = updated
+    return pieces
+
+
+@pytest.mark.parametrize("family, a, b", [("k", 3, 2), ("j", 1, 1), ("p", 1, 2)])
+def test_expand_family_equals_the_graded_product(family, a, b):
+    want = graded_product(ell_from_ab(F(a), F(b), 14), 14)
+    polys = {"k": k_polys, "j": j_polys, "p": p_polys}[family]
+    for m in range(15):
+        # each family_polys(a, b, m) is the same prefix of every longer one
+        assert polys(m) == family_polys(F(a), F(b), m) == tuple(want[: m + 1]), m
+    # a sequence with zeros drops those kappa indices
+    ell = [F(0), F(2, 3), F(0), F(-5), F(0), F(1, 7), F(0), F(3)]
+    assert expand_family(ell, 8) == graded_product(ell, 8)
 
 
 def test_pushforward_examples():
