@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
@@ -112,21 +113,25 @@ def parse_key(key: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return g[0], psis, lam
 
 
+# a key as _key_str writes it, with the genus and the psi exponents grouped
+_KEY = re.compile(r"([0-9]+);((?:[0-9]+(?:,[0-9]+)*)?);(?:[1-9][0-9]*(?:,[1-9][0-9]*)*)?")
+
+
 def _off_lattice(key: str, value: Fraction) -> bool:
     """Whether key is a stable psi-only key at which no psi number equals value:
     off dimension, or a denominator not dividing _scale, tested without forming
     _scale (a key may hold a huge exponent) by dividing out odd factors until 1.
-    The key is split once; a key parse_key would refuse is never off lattice."""
+    The key is matched once, and a key not of _key_str's form raises the
+    corrupted-cache ValueError."""
+    m = _KEY.fullmatch(key)
+    if m is None:
+        raise ValueError(f"corrupted cache file: malformed key {key!r}")
     q = value.denominator
     if q == 1 or not key.endswith(";"):
         return False
-    g, sep, psis = key[:-1].partition(";")
-    try:
-        g, psis = int(g), list(map(int, psis.split(","))) if psis else []
-    except ValueError:
-        return False
+    g, psis = int(m[1]), list(map(int, m[2].split(","))) if m[2] else []
     chi = 2 * g - 2 + len(psis)
-    if not sep or min([g, *psis]) < 0 or chi <= 0:
+    if chi <= 0:
         return False
     if sum(psis) != 3 * g - 3 + len(psis):
         return True

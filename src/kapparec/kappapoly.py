@@ -67,9 +67,9 @@ def multiset_splits(mu: Sequence[int]) -> list[Split]:
     number of ways to split mu's labeled slots into it.
 
     alpha and beta come out sorted ascending.  Uncached: the recursion
-    engine meets many distinct keys, and a cache for them costs more memory
-    than it saves time; the oracle's DVV recursion, which asks for the same
-    few keys over and over, uses ``cached_multiset_splits``.
+    engine asks once per rest of a level, many distinct keys, and a cache
+    for them costs more memory than it saves time; the oracle's DVV
+    recursion, which asks for the same few keys again, uses the cached form.
     """
     out = [((), (), 1)]
     for v, m in sorted(multiplicities(mu).items()):
@@ -269,8 +269,11 @@ def _graded_piece(ell: tuple[Fraction, ...]) -> KappaPoly:
 
 @lru_cache(maxsize=None)
 def family_polys(a: Fraction, b: Fraction, m_max: int) -> tuple[KappaPoly, ...]:
-    """L^(a,b)_0..L^(a,b)_{m_max}; (3,2) gives the K family, (1,1) the J family."""
-    return tuple(expand_family(ell_from_ab(Fraction(a), Fraction(b), max(m_max, 1)), m_max))
+    """L^(a,b)_0..L^(a,b)_{m_max}; (3,2) gives the K family, (1,1) the J family.
+    ell_m does not depend on the length of the log it is read from, so every
+    m_max up to a power of two reads a prefix of the one log to that length."""
+    n = 1 << (max(m_max, 1) - 1).bit_length()
+    return tuple(expand_family(ell_from_ab(Fraction(a), Fraction(b), n), m_max))
 
 
 def k_polys(m_max: int) -> tuple[KappaPoly, ...]:

@@ -12,7 +12,7 @@ from math import comb, factorial, prod
 
 def rat_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)  # ints and Fractions are reduced
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -36,13 +36,17 @@ kstar have no eps.
 A Correlator stores each entry only in that integer form (a Form): a
 positive denominator and (packed h-key, numerator) pairs sorted by key,
 reduced to gcd(den, numerators) = 1, so equal entries have equal forms.
-Slices and diagonals are summed from these forms directly.  The ParamPoly
-of an entry (eps restored, Fraction coefficients) is a view, built whenever
-a caller reads it and never kept.
+Slices and diagonals are pushed from these forms, with no key probed: one
+pass over a table's entries gives all of its slices, and one pass over
+w_{g-1,n+1} all the diagonals of the level (g, n).  The read-off multiplies
+W by 1/(2 eta) only up to the poles it needs and groups them straight into
+Forms.  The ParamPoly of an entry (eps restored, Fraction coefficients) is
+a view, built whenever a caller reads it and never kept.
 
 Computed correlators are immutable and the per-engine table is append-only
-with deterministic, schedule-independent entries; the slices built from it
-are memoized on the engine for the same reason.
+with deterministic, schedule-independent entries; each table's slices are
+kept on the engine for the same reason, while a level's diagonals are
+dropped when the level is done.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .coeffs import htilde_weak
-from .intseries import HPacking, IntSeries
-from .kappapoly import aut, insert_sorted, multiset_splits
+from .intseries import HPacking, IntSeries, _kept
+from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, hweight
 from .rationals import odd_df
 from .zseries import ZSeries
@@ -123,12 +127,13 @@ class SpectralCurve:
         return self.lower(self.eta_over_dz(), 2)
 
     def inv2eta(self) -> IntSeries:
-        """1/(2 eta/dz) in the integer core: the lowered 2 eta/dz inverted on
-        IntSeries, with the terms over h_weight_cap dropped at each step.  An
-        exactly-known eta is inverted up to z^(order-1)."""
+        """1/(2 eta/dz) in the integer core, its terms by increasing key: the
+        lowered 2 eta/dz inverted on IntSeries, with the terms over h_weight_cap
+        dropped at each step; an exactly-known eta is inverted up to z^(order-1)."""
         if self._inv2eta is None:
             two_eta = self.two_eta()
-            self._inv2eta = two_eta.invert(self.order if two_eta.order is None else None)
+            inv = self._inv2eta = two_eta.invert(self.order if two_eta.order is None else None)
+            inv.coeffs = dict(sorted(inv.coeffs.items()))
         return self._inv2eta
 
 
@@ -164,8 +169,10 @@ def build_curve(family: str, order: int, n_h: int = 0,
     return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=h_weight_cap)
 
 
-# an entry in integer form: (den, ((packed h-key, numerator), ...))
+# an entry in integer form: (den, ((packed h-key, numerator), ...)), and a
+# term f*value*z^e of a slice or diagonal: (e, Form, int f)
 Form = tuple[int, tuple[tuple[int, int], ...]]
+Term = tuple[int, Form, int]
 
 
 class Correlator:
@@ -270,9 +277,9 @@ def levels(budget: int) -> list[tuple[int, int]]:
     ]
 
 
-def _series(pack: HPacking, terms: list[tuple[int, Form, int]]) -> IntSeries | None:
-    """The series sum f*value*z^e over (e, Form, int f) triples, over the
-    lcm of the Forms' denominators; None when it is zero."""
+def _series(pack: HPacking, terms: list[Term]) -> IntSeries | None:
+    """The series sum f*value*z^e over the terms, over the lcm of the Forms'
+    denominators; None when it is zero."""
     den = lcm(*(d for _, (d, _), _ in terms))
     zs = pack.zshift
     out: dict[int, int] = {}
@@ -286,38 +293,23 @@ def _series(pack: HPacking, terms: list[tuple[int, Form, int]]) -> IntSeries | N
     return IntSeries(out, den, pack) if out else None
 
 
-def _entries(prod: IntSeries) -> dict[int, Form]:
-    """k1 -> the reduced Form of the entry at k1, read off the pole of prod
-    at z^(-2*k1-2) in the (2k1+1)!! basis."""
-    zs = prod.pack.zshift
-    hmask = (1 << zs) - 1
-    poles: dict[int, list[tuple[int, int]]] = {}
-    for key, c in prod.coeffs.items():
-        poles.setdefault(key >> zs, []).append((key & hmask, c))
-    out = {}
-    for e, pairs in poles.items():
-        k1 = (-e - 2) // 2
-        den = prod.den * odd_df(k1)
-        d = gcd(den, *(c for _, c in pairs))
-        out[k1] = (den // d, tuple(sorted((h, c // d) for h, c in pairs)))
-    return out
-
-
 class Engine:
     """Memoizing recursion bound to one spectral curve.
 
-    Slices, W, the product with 1/(2 eta) and the stored entries are
-    IntSeries and Forms keyed by the curve's HPacking; ``weight`` is the
-    curve's eps_weight, which the Correlators' views restore eps by.
+    Slices, W and the stored entries are IntSeries and Forms keyed by the
+    curve's HPacking; ``weight`` is the curve's eps_weight, which the
+    Correlators' views restore eps by.  A table's slices are built together
+    when a level first reads the table and are kept; a level's diagonals
+    are dropped with the level.
     """
 
     def __init__(self, curve: SpectralCurve):
         self.curve = curve
         self.weight = curve.eps_weight()
         self.table: dict[tuple[int, int], Correlator] = {}
-        # (g', alpha) -> slice; pure in the append-only table, so it lives
-        # exactly as long as the engine
-        self._slices: dict[tuple[int, tuple[int, ...]], IntSeries | None] = {}
+        # (g', m) -> alpha -> the nonzero slice of w_{g',m} at alpha; pure in
+        # the append-only table, so it lives exactly as long as the engine
+        self._slices: dict[tuple[int, int], dict[tuple[int, ...], IntSeries]] = {}
 
     def correlator(self, g: int, n: int) -> Correlator:
         if n < 1 or g < 0 or 2 * g - 2 + n <= 0:
@@ -338,81 +330,103 @@ class Engine:
 
     # -- assembly -------------------------------------------------------------
 
-    def _slice_series(self, gp: int, alpha: tuple[int, ...]) -> IntSeries | None:
-        """w'-factor with active variable z and remaining slots frozen at alpha."""
-        key = (gp, alpha)
-        try:
-            return self._slices[key]
-        except KeyError:
-            s = self._slices[key] = self._build_slice(gp, alpha)
-            return s
+    def _table_slices(self, gp: int, m: int) -> dict[tuple[int, ...], IntSeries]:
+        """alpha -> the nonzero slice of w_{g',m} with the other slots frozen
+        at alpha, all built in one pass over its entries: the entry at K is
+        the pole z^(-2v-2) of the slice at K less one v, once for each
+        distinct value v of K."""
+        slices = self._slices.get((gp, m))
+        if slices is None:
+            terms: dict[tuple[int, ...], list[Term]] = {}
+            for key, f in self.correlator(gp, m).forms.items():
+                for i, v in enumerate(key):
+                    if not i or key[i - 1] != v:
+                        terms.setdefault(key[:i] + key[i + 1:], []).append((-2 * v - 2, f, odd_df(v)))
+            pack = self.curve.pack
+            slices = self._slices[gp, m] = {alpha: _series(pack, t) for alpha, t in terms.items()}
+        return slices
 
-    def _build_slice(self, gp: int, alpha: tuple[int, ...]) -> IntSeries | None:
-        if gp == 0 and len(alpha) == 0:
-            return None  # w_{0,1} = 0
-        if gp == 0 and len(alpha) == 1:
-            # mixed w_{0,2}(z, z_j) against the (2k+1)!! basis: z^{2k}/(2k-1)!!
-            k = alpha[0]
-            c = Fraction(2 * k + 1, odd_df(k))
-            return _series(self.curve.pack, [(2 * k, (c.denominator, ((0, c.numerator),)), 1)])
-        corr = self.correlator(gp, len(alpha) + 1)
-        smax = 3 * gp - 3 + len(alpha) + 1 - sum(alpha)
-        return _series(self.curve.pack, [
-            (-2 * k - 2, f, odd_df(k))
-            for k in range(smax + 1)
-            if (f := corr.forms.get(insert_sorted(alpha, k))) is not None
-        ])
+    def _level(self, g: int, n: int):
+        """What the level (g, n) reads: rest -> the terms of the diagonal
+        w_{g-1,n+1}(z, z, rest), and g' -> [a -> the slices of w_{g',a+1}].
+        The entry at K of w_{g-1,n+1} is the pole z^(-2(k+k')-4) of the
+        diagonal at K less k and k', once for each distinct pair k <= k' of
+        values of K (twice when k < k').  w_{0,1} = 0 has no slice, the mixed
+        w_{0,2}(z, z_j) is z^{2k}/(2k-1)!! against the (2k+1)!! basis, and no
+        product reads w_{g,n} itself (None)."""
+        diags: dict[tuple[int, ...], list[Term]] = {}
+        if (g, n) == (1, 1):
+            diags[()] = [(-2, (4, ((0, 1),)), 1)]  # the (0,2) diagonal dz^2/(4 z^2)
+        elif g:
+            for key, f in self.correlator(g - 1, n + 1).forms.items():
+                for i, k in enumerate(key):
+                    for j in range(i + 1, n + 1) if not i or key[i - 1] != k else ():
+                        kp = key[j]
+                        if j == i + 1 or key[j - 1] != kp:
+                            diags.setdefault(key[:i] + key[i + 1:j] + key[j + 1:], []).append(
+                                (-2 * (k + kp) - 4, f, (1 if k == kp else 2) * odd_df(k) * odd_df(kp)))
+        pack = self.curve.pack
+        mixed = {(k,): IntSeries({2 * k << pack.zshift: 1}, odd_df(k - 1), pack)
+                 for k in range(3 * g - 2 + n)}
+        return diags, [[{} if (gp, m) == (0, 1) else mixed if (gp, m) == (0, 2)
+                        else None if (gp, m) == (g, n) else self._table_slices(gp, m)
+                        for m in range(1, n + 1)] for gp in range(g + 1)]
 
-    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...]) -> IntSeries:
-        # diagonal part w_{g-1, n+1}(z, z, rest)
-        diag = []
-        if g >= 1:
-            if 2 * (g - 1) - 2 + (n + 1) > 0:
-                lower = self.correlator(g - 1, n + 1)
-                smax = 3 * (g - 1) - 3 + (n + 1) - sum(rest)
-                diag = [
-                    (-2 * (k + kp) - 4, f, (1 if k == kp else 2) * odd_df(k) * odd_df(kp))
-                    for k in range(smax + 1)
-                    for rest_k in (insert_sorted(rest, k),)
-                    for kp in range(k, smax - k + 1)
-                    if (f := lower.forms.get(insert_sorted(rest_k, kp))) is not None
-                ]
-            elif (g, n) == (1, 1):
-                diag = [(-2, (4, ((0, 1),)), 1)]  # dz^2/(4 z^2)
+    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...], level) -> IntSeries:
+        """W_{g,n}(z, rest): the diagonal plus all ordered pair products of
+        slices, both read from ``level`` (what ``_level`` returns)."""
+        diags, slices = level
         # ordered pair products, each computed once together with its mirror
         # (g2, beta, g1, alpha), which has the same ways; w_{0,1} factors
-        # vanish and must be skipped before any recursive lookup (they would
-        # otherwise self-recurse)
+        # vanish and are skipped, and so is the (g2, beta) = (g, rest) factor
         products = []
         splits = multiset_splits(rest)
         for g1 in range(g // 2 + 1):
             g2 = g - g1
+            left, right = slices[g1], slices[g2]
             for alpha, beta, ways in splits:
                 if (g1 == g2 and alpha > beta) or (g1 == 0 and not alpha):
                     continue
-                s1 = self._slice_series(g1, alpha)
+                s1 = left[len(alpha)].get(alpha)
                 if s1 is None:
                     continue
-                s2 = self._slice_series(g2, beta)
-                if s2 is None:
-                    continue
-                products.append((s1, s2, ways if g1 == g2 and alpha == beta else 2 * ways))
+                s2 = right[len(beta)].get(beta)
+                if s2 is not None:
+                    products.append((s1, s2, ways if g1 == g2 and alpha == beta else 2 * ways))
         # every diagonal and slice exponent is even
         pack = self.curve.pack
-        return IntSeries.sum_of_products(_series(pack, diag), products, pack)
+        return IntSeries.sum_of_products(_series(pack, diags.get(rest, [])), products, pack)
 
-    def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int) -> dict[int, Form]:
+    def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int, level) -> dict[int, Form]:
         """k1 -> entry at (k1,) + rest, for every k1 with -2*k1-2 <= hi: the
-        poles of the principal part of W_{g,n}(z, rest)/(2 eta(z)) up to z^hi."""
-        w = self._assemble_w(g, n, rest)
+        poles of W_{g,n}(z, rest)/(2 eta(z)), multiplied out only up to z^hi,
+        as reduced Forms in the (2k1+1)!! basis."""
+        w = self._assemble_w(g, n, rest, level)
         if w.is_zero():
             return {}
-        prod = self.curve.inv2eta().mul(w, hi=hi)
-        if prod.order < hi + 1:
-            raise InsufficientOrderError(
-                f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})"
-            )
-        return _entries(prod)
+        inv, pack = self.curve.inv2eta(), self.curve.pack
+        zs = pack.zshift
+        order = inv.order + (min(w.coeffs) >> zs)  # IntSeries.mul's; W is exact
+        if order <= hi:
+            raise InsufficientOrderError(f"product order {order} < required {hi + 1} at (g, n) = ({g}, {n})")
+        top = (hi + 1) << zs
+        out: dict[int, int] = {}
+        get = out.get
+        inv_terms = inv.coeffs.items()  # by increasing key: see SpectralCurve.inv2eta
+        for j2, c2 in w.coeffs.items():
+            for j1, c1 in inv_terms:
+                if j1 + j2 >= top:
+                    break
+                out[j1 + j2] = get(j1 + j2, 0) + c1 * c2
+        poles: dict[int, list[tuple[int, int]]] = {}
+        hmask, den = (1 << zs) - 1, inv.den * w.den
+        for key, c in _kept(out, pack).items():
+            poles.setdefault(-(key >> zs) // 2 - 1, []).append((key & hmask, c))
+        forms = {}
+        for k1, pairs in poles.items():
+            d = gcd(den * odd_df(k1), *(c for _, c in pairs))
+            forms[k1] = (den * odd_df(k1) // d, tuple(sorted((h, c // d) for h, c in pairs)))
+        return forms
 
     def _compute(self, g: int, n: int) -> Correlator:
         # Each sorted entry is read off once, from its largest slot: the active
@@ -423,12 +437,13 @@ class Engine:
         # Eynard-Orantin); all_slots_agree re-reads every slot to check it.
         dim = 3 * g - 3 + n
         forms: dict[tuple[int, ...], Form] = {}
+        level = self._level(g, n)  # dropped with this frame
         for rest in _sorted_tuples(n - 1, dim):
             top = rest[-1] if rest else 0
             room = dim - sum(rest)
             if top > room:
                 continue
-            for k1, f in self._read_off(g, n, rest, -2 * top - 2).items():
+            for k1, f in self._read_off(g, n, rest, -2 * top - 2, level).items():
                 if k1 > room:
                     raise AssertionError(
                         f"dimension bound violated at ({g}, {n}): k = {rest + (k1,)}"
@@ -449,9 +464,10 @@ class Engine:
         """
         corr = self.correlator(g, n)
         dim = 3 * g - 3 + n
+        level = self._level(g, n)
         for rest in _sorted_tuples(n - 1, dim):
             room = dim - sum(rest)
-            got = self._read_off(g, n, rest, -1)
+            got = self._read_off(g, n, rest, -1, level)
             if any(k1 > room for k1 in got):
                 return False
             for k1 in range(room + 1):
@@ -468,13 +484,14 @@ class Engine:
         self.correlator(g, n)
         two_eta = self.curve.two_eta()
         dim = 3 * g - 3 + n
+        level, own = self._level(g, n), self._table_slices(g, n)
         for rest in _sorted_tuples(n - 1, dim):
-            sw = self._slice_series(g, rest)
+            sw = own.get(rest)
             lhs = two_eta.mul(sw) if sw is not None else None
             top = 0 if lhs is None or lhs.order is None else min(0, lhs.order)
             top <<= self.curve.pack.zshift  # as a key
             poles = [{k: c for k, c in s.items() if k < top} if s is not None else {}
-                     for s in (lhs, self._assemble_w(g, n, rest))]
+                     for s in (lhs, self._assemble_w(g, n, rest, level))]
             if poles[0] != poles[1]:
                 return False
         return True

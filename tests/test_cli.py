@@ -191,6 +191,19 @@ def test_off_lattice_cache_value_is_refused(capsys, tmp_path):
     assert cpath.read_bytes() == kept and bad.read_bytes() == before
 
 
+def test_malformed_cache_keys_are_refused(capsys, tmp_path):
+    bad, cpath = tmp_path / "bad.json", tmp_path / "cache.json"
+    cpath.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"1;1;": "1/24"}}))
+    kept = cpath.read_bytes()
+    for key, value in (("garbage", "1/3"), ("2;", "5/7")):
+        bad.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {key: value}}))
+        code, out, err = run(capsys, ["cache", "--action", "stats", "--cache", str(bad)])
+        assert code == 2 and out == "" and f"malformed key {key!r}" in err, key
+        code, out, err = run(capsys, ["cache", "--action", "import", "--in", str(bad), "--cache", str(cpath)])
+        assert code == 2 and out == "" and "refusing import" in err and f"malformed key {key!r}" in err
+        assert cpath.read_bytes() == kept
+
+
 def test_cache_file_not_a_json_object_is_usage_error(capsys, tmp_path):
     for payload in ([1, 2], "x"):
         bad = tmp_path / "bad.json"

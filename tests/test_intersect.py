@@ -371,6 +371,18 @@ def test_lattice_check_never_forms_a_huge_scale(tmp_path):
     assert Cache(_cache_file(tmp_path, {"0;100000000,0,0;": "0"})).data
 
 
+def test_malformed_cache_keys_are_refused(tmp_path):
+    # every key is matched against _key_str's form while it is split for the
+    # lattice check: integer values and kappa keys included
+    for key in ("garbage", "2;", "1;1", "1;1;;", "-1;1;", "1;-1;", "1;a;", "1;1,;",
+                "1;1;0", "1;1;2,", " 1;1;", "1;1;x"):
+        for value in ("1/3", "5/7", "1", "0"):
+            with pytest.raises(ValueError, match="corrupted cache file: malformed key"):
+                Cache(_cache_file(tmp_path, {key: value}))
+    good = {"1;1;": "1/24", "0;0,0,0;": "1", "1;0;1": "1/24", "2;;3": "1/24", "0;;": "5/7"}
+    assert Cache(_cache_file(tmp_path, good)).data == good
+
+
 def test_kclass_psi_numeric(oracle):
     # int_{M_{1,1}} exp(s_1 kappa_1) with h_1 = -3, so s_1 = 3: 3 * 1/24
     assert oracle.kclass_psi(1, (0,), {1: F(-3)}) == F(1, 8)

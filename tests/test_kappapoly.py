@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kapparec import kappapoly
 from kapparec.coeffs import ell_from_ab
 from kapparec.intersect import IntersectionOracle
 from kapparec.kappapoly import (
@@ -107,6 +108,28 @@ def test_homogeneity_and_kappa_m_coefficient():
         # the pure kappa_m coefficient is the sequence value itself
         assert K[m].terms[((m,), ())] == s[m - 1]
         assert J[m].terms[((m,), ())] == sig[m - 1]
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (1, 1), (1, 2)])
+def test_family_sequences_are_prefixes_of_one_series_log(a, b, monkeypatch):
+    # ell_1..ell_m read off a longer log are the ones a log of length m gives,
+    # so family_polys takes one log per power of two instead of one per m_max
+    longest = ell_from_ab(F(a), F(b), 16)
+    assert all(ell_from_ab(F(a), F(b), m) == longest[:m] for m in range(1, 17))
+    lengths = []
+
+    def counted(a, b, n):
+        lengths.append(n)
+        return ell_from_ab(a, b, n)
+
+    monkeypatch.setattr(kappapoly, "ell_from_ab", counted)
+    family_polys.cache_clear()
+    try:
+        for m in range(17):
+            assert family_polys(F(a), F(b), m) == tuple(expand_family(longest, m))
+    finally:
+        family_polys.cache_clear()
+    assert sorted(set(lengths)) == [1, 2, 4, 8, 16]
 
 
 def test_expand_family_validates_length():

@@ -10,13 +10,16 @@ import pytest
 from kapparec.cli import _engine, _top
 from kapparec.coeffs import h_star
 from kapparec.epsilonlab import check_regularity
+from kapparec.intseries import IntSeries
 from kapparec.parampoly import ParamPoly, hweight
+from kapparec.kappapoly import insert_sorted
 from kapparec.toprec import (
     FAMILIES,
     Correlator,
     Engine,
     InsufficientOrderError,
     SpectralCurve,
+    _series,
     _sorted_tuples,
     build_curve,
     correlators_to_potential,
@@ -260,12 +263,110 @@ WEAK_DIGESTS = {
 }
 
 
+# the same digest over every correlator up to level 7, as the per-alpha
+# slices and the per-rest diagonal sums computed them
+SCALAR_DIGESTS = {
+    "kw": "740820cae2911c5a43c82f614a36598ab95b40750ceb4aaaafa96722dc895835",
+    "k": "2a8c58d1d4025e57606dcaf6dcd6734f6bd8561b5dc71cc4f76dceba77ecc3bc",
+    "j": "bd7804c3e40b989b988d5039b3470a8286b9f0eb5a9f53479fc0596d3da85f8c",
+    "bgw": "af403e202d97df27657878b0b23735616258374b81889c573a2ab84b809fc1c4",
+    "kstar": "a6af1733fc55c15620b608bfc85c7e0495a2bab0cf5e5c4324f5f4ac03a87a33",
+}
+
+
+def _digest(family: str, budget: int) -> str:
+    eng = _engine(family, *_top(budget))
+    blob = json.dumps([eng.correlator(g, n).to_json() for g, n in levels(budget)],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("family", sorted(WEAK_DIGESTS))
 def test_weak_correlators_match_pinned_digests(family):
-    eng = _engine(family, *_top(6))
-    blob = json.dumps([eng.correlator(g, n).to_json() for g, n in levels(6)],
-                      sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == WEAK_DIGESTS[family]
+    assert _digest(family, 6) == WEAK_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(SCALAR_DIGESTS))
+def test_scalar_correlators_match_pinned_digests(family):
+    assert _digest(family, 7) == SCALAR_DIGESTS[family]
+
+
+def _reference_slice(eng, gp, alpha):
+    """The slice of w_{g',len(alpha)+1} at alpha on its own: every k probed
+    for an entry at alpha + (k,)."""
+    if gp == 0 and len(alpha) == 0:
+        return None  # w_{0,1} = 0
+    pack = eng.curve.pack
+    if gp == 0 and len(alpha) == 1:
+        # mixed w_{0,2}(z, z_j) against the (2k+1)!! basis
+        k = alpha[0]
+        c = F(2 * k + 1, odd_df(k))
+        return _series(pack, [(2 * k, (c.denominator, ((0, c.numerator),)), 1)])
+    corr = eng.correlator(gp, len(alpha) + 1)
+    smax = 3 * gp - 3 + len(alpha) + 1 - sum(alpha)
+    return _series(pack, [
+        (-2 * k - 2, f, odd_df(k))
+        for k in range(smax + 1)
+        if (f := corr.forms.get(insert_sorted(alpha, k))) is not None
+    ])
+
+
+def _reference_diagonal(eng, g, n, rest):
+    """The terms of w_{g-1,n+1}(z, z, rest) on their own: every pair k <= k'
+    probed for an entry at rest + (k, k')."""
+    if (g, n) == (1, 1):
+        return [(-2, (4, ((0, 1),)), 1)]  # dz^2/(4 z^2)
+    if g == 0:
+        return []
+    lower = eng.correlator(g - 1, n + 1)
+    smax = 3 * (g - 1) - 3 + (n + 1) - sum(rest)
+    return [
+        (-2 * (k + kp) - 4, f, (1 if k == kp else 2) * odd_df(k) * odd_df(kp))
+        for k in range(smax + 1)
+        for rest_k in (insert_sorted(rest, k),)
+        for kp in range(k, smax - k + 1)
+        if (f := lower.forms.get(insert_sorted(rest_k, kp))) is not None
+    ]
+
+
+def _same_series(a, b) -> bool:
+    return (a is None) == (b is None) and (a is None or (a.coeffs, a.den) == (b.coeffs, b.den))
+
+
+@pytest.mark.parametrize("family", ["kw", "k", "j", "weak-k", "bgw"])
+def test_level_slices_and_diagonals_equal_the_per_key_references(family):
+    # each table's slices are pushed from its entries and each level's
+    # diagonals from w_{g-1,n+1}; probing key by key must give the same
+    # coefficients over the same denominator, and no slice the probes miss
+    eng = _engine(family, *_top(7))
+    pack = eng.curve.pack
+    for g, n in levels(7):
+        dim = 3 * g - 3 + n
+        eng.correlator(g, n)
+        diags, slices = eng._level(g, n)
+        assert set(diags) <= set(_sorted_tuples(n - 1, dim))
+        for rest in _sorted_tuples(n - 1, dim):
+            got = _series(pack, diags.get(rest, []))
+            assert _same_series(got, _series(pack, _reference_diagonal(eng, g, n, rest))), (g, n, rest)
+        assert len(slices) == g + 1 and all(len(t) == n for t in slices)
+        for gp, tables in enumerate(slices):
+            for a, table in enumerate(tables):
+                if (gp, a + 1) == (g, n):
+                    assert table is None  # no product reads w_{g,n} itself
+                    continue
+                assert set(table) <= set(_sorted_tuples(a, dim))
+                for alpha in _sorted_tuples(a, dim):
+                    assert _same_series(table.get(alpha), _reference_slice(eng, gp, alpha)), (gp, alpha)
+
+
+def test_no_diagonal_map_outlives_its_level():
+    # the diagonals are local to the level; the engine keeps only its table
+    # and the slices built from it
+    eng = _engine("k", *_top(6))
+    for g, n in levels(6):
+        eng.correlator(g, n)
+        assert set(vars(eng)) == {"curve", "weight", "table", "_slices"}
+        assert all(isinstance(s, IntSeries) for t in eng._slices.values() for s in t.values())
 
 
 @pytest.mark.parametrize("family", ["k", "j", "kstar"])
@@ -292,13 +393,15 @@ def test_integer_inverse_equals_the_lowered_reference(family):
     # 1/(2 eta) inverted on IntSeries, under the h-weight cap for the weak
     # families, against the ParamPoly series inverse lowered afterwards: the
     # same terms over the same denominator with the same order, at the CLI's
-    # default verify budget and at a deeper one
+    # default verify budget and at a deeper one; the terms come by increasing
+    # key, which the read-off's truncated product stops early on
     for budget in (5, 10):
         curve = _engine(family, *_top(budget)).curve
         two_eta = curve.eta_over_dz().scale(2)
         want = curve.lower(series_invert(two_eta, curve.order if two_eta.order is None else None))
         got = curve.inv2eta()
         assert (got.coeffs, got.den, got.order) == (want.coeffs, want.den, want.order), budget
+        assert list(got.coeffs) == sorted(got.coeffs)
 
 
 def test_integer_inverse_raises_the_reference_errors():
@@ -487,7 +590,7 @@ def test_mixed_w02_rule_is_bergman_odd_part(kw_engine):
             if c:
                 odd_part[(m - 1, -m - 1)] = c
         raw = odd_part[(2 * k, -2 * k - 2)]
-        slice_k = kw_engine._slice_series(0, (k,))
+        slice_k = kw_engine._level(0, k + 3)[1][0][1][(k,)]
         assert dict(slice_k.items()) == {2 * k: ParamPoly.const(raw / odd_df(k))}
 
 
