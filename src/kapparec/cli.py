@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .epsilonlab import admissible, check_regularity, verify_vanishing
 from .hurwitz import BudgetError, hurwitz_three_ways
-from .intersect import Cache, IntersectionOracle, default_cache_path, parse_key
+from .intersect import CACHE_ENV, Cache, IntersectionOracle, _key_str
 from .kappapoly import j_polys, k_polys, p_polys, partitions
-from .rationals import rat_parse, rat_str
+from .rationals import rat_str
 from .tautools import (
     Potential,
     bgw_bootstrap,
@@ -64,7 +64,7 @@ def _open_cache(path: str) -> Cache:
 
 def _oracle(args) -> IntersectionOracle:
     """The oracle on the --cache file, or on $KAPPAREC_CACHE."""
-    path = args.cache or default_cache_path()
+    path = args.cache or os.environ.get(CACHE_ENV)
     return IntersectionOracle(_open_cache(path) if path else None)
 
 
@@ -148,10 +148,7 @@ def cmd_potentials(args) -> int:
     t_max = args.t_max
     if t_max < 0:
         raise UsageError("--t-max must be non-negative")
-    if args.family == "bgw":
-        pot = bgw_bootstrap(budget)
-    else:
-        pot = Potential.from_engine(_engine(args.family, *_top(budget)), budget)
+    pot = Potential.from_engine(_engine(args.family, *_top(budget)), budget)
     payload = {
         "family": args.family,
         "budget": budget,
@@ -346,7 +343,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    path = args.cache or default_cache_path()
+    path = args.cache or os.environ.get(CACHE_ENV)
     if not path:
         raise UsageError("no cache path: pass --cache or set KAPPAREC_CACHE")
     cache = _open_cache(path)
@@ -366,11 +363,11 @@ def cmd_cache(args) -> int:
             raise UsageError(f"refusing import: no such file {args.infile}")
         try:
             incoming = Cache(args.infile)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             raise UsageError(f"refusing import: {exc}") from exc
         for k, v in incoming.data.items():
             if cache.data.get(k, v) != v:
-                raise UsageError(f"refusing import: conflicting value at {k}")
+                raise UsageError(f"refusing import: conflicting value at {_key_str(*k)}")
             cache.data[k] = v
         cache.save(path)
         print(f"imported {len(incoming.data)} entries into {path}")
@@ -384,15 +381,14 @@ def _bad_entries(cache: Cache) -> dict[str, str]:
     """Recompute every entry with a cacheless oracle; key -> what is wrong."""
     oracle = IntersectionOracle()
     bad = {}
-    for key, stored in sorted(cache.data.items()):
+    for key, (g, psis, lam), stored in sorted((_key_str(*k), k, v) for k, v in cache.data.items()):
         try:
-            g, psis, lam = parse_key(key)
             got = oracle.kappa_psi_number(g, len(psis), psis, lam)
         except ValueError as exc:
             bad[key] = f"stored {stored}, cannot recompute: {exc}"
             continue
-        if got != rat_parse(stored):
-            bad[key] = f"stored {stored}, recomputed {rat_str(got)}"
+        if got != stored:
+            bad[key] = f"stored {stored}, recomputed {got}"
     return bad
 
 

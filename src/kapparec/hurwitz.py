@@ -231,8 +231,6 @@ def hurwitz_three_ways(
     engine: Engine,
     g: int,
     partition: Sequence[int],
-    d_max: int = DEFAULT_D_MAX,
-    m_max: int = DEFAULT_M_MAX,
 ) -> dict[str, Fraction | None]:
     """All available routes; brute force is skipped (None) beyond its budget."""
     partition = tuple(sorted(partition, reverse=True))
@@ -242,7 +240,7 @@ def hurwitz_three_ways(
         "elsv": elsv_value(oracle, g, partition),
     }
     try:
-        out["brute"] = brute_force(g, partition, d_max=d_max, m_max=m_max)
+        out["brute"] = brute_force(g, partition)
     except BudgetError:
         out["brute"] = None
     return out

@@ -99,37 +99,17 @@ def _key_str(g: int, psis: Sequence[int], lam: Sequence[int]) -> str:
     return f"{g};{','.join(map(str, psis))};{','.join(map(str, lam))}"
 
 
-def parse_key(key: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Inverse of :func:`_key_str`; raises ValueError on a malformed key."""
-    parts = key.split(";")
-    if len(parts) != 3:
-        raise ValueError(f"malformed cache key {key!r}")
-    try:
-        g, psis, lam = (tuple(map(int, p.split(","))) if p else () for p in parts)
-    except ValueError:
-        raise ValueError(f"malformed cache key {key!r}") from None
-    if len(g) != 1 or min(g + psis) < 0 or any(x < 1 for x in lam):
-        raise ValueError(f"malformed cache key {key!r}")
-    return g[0], psis, lam
+# a key as _key_str writes it, with no leading zeros, so that each loaded key
+# saves back as the same string; groups: the genus, the psis and the kappa parts
+_NUM = "(?:0|[1-9][0-9]*)"
+_KEY = re.compile(rf"({_NUM});((?:{_NUM},)*{_NUM})?;((?:[1-9][0-9]*,)*[1-9][0-9]*)?")
 
 
-# a key as _key_str writes it, with the genus and the psi exponents grouped
-_KEY = re.compile(r"([0-9]+);((?:[0-9]+(?:,[0-9]+)*)?);(?:[1-9][0-9]*(?:,[1-9][0-9]*)*)?")
-
-
-def _off_lattice(key: str, value: Fraction) -> bool:
-    """Whether key is a stable psi-only key at which no psi number equals value:
-    off dimension, or a denominator not dividing _scale, tested without forming
-    _scale (a key may hold a huge exponent) by dividing out odd factors until 1.
-    The key is matched once, and a key not of _key_str's form raises the
-    corrupted-cache ValueError."""
-    m = _KEY.fullmatch(key)
-    if m is None:
-        raise ValueError(f"corrupted cache file: malformed key {key!r}")
-    q = value.denominator
-    if q == 1 or not key.endswith(";"):
-        return False
-    g, psis = int(m[1]), list(map(int, m[2].split(","))) if m[2] else []
+def _off_lattice(g: int, psis: tuple[int, ...], q: int) -> bool:
+    """Whether no psi number at the psi-only key (g, psis) has denominator q,
+    on a stable (g, n): off dimension, or q not dividing _scale, tested
+    without forming _scale (a key may hold a huge exponent) by dividing out
+    odd factors until 1."""
     chi = 2 * g - 2 + len(psis)
     if chi <= 0:
         return False
@@ -145,16 +125,25 @@ def _off_lattice(key: str, value: Fraction) -> bool:
     return q != 1 or twos > 3 * chi
 
 
+class _Numbers(dict):
+    """Digit string -> int, each distinct string converted once: keys repeat
+    the same small numbers, and a dict hit costs less than int()."""
+
+    def __missing__(self, s: str) -> int:
+        self[s] = n = int(s)
+        return n
+
+
 class Cache:
     """Versioned persistent store for intersection numbers.
 
-    Keys are canonical strings "g;d1,...,dn;l1,l2,..." (psi exponents sorted
-    ascending, kappa partition non-increasing); values are "p/q".
-    """
+    ``data`` maps (g, psis, lam) (psi exponents sorted ascending, kappa partition
+    non-increasing) to a Fraction; on disk, keys are _key_str's "g;d1,...,dn;l1,l2,..."
+    and values are "p/q"."""
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self.data: dict[str, str] = {}
+        self.data: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Fraction] = {}
         self.dirty = False
         if path and os.path.exists(path):
             self.load(path)
@@ -171,52 +160,54 @@ class Cache:
         entries = payload.get("entries")
         if not isinstance(entries, dict):
             raise ValueError("corrupted cache file: no entries map")
+        num = _Numbers().__getitem__
         for k, v in entries.items():
             try:
                 value = rat_parse(v)
             except (AttributeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"corrupted cache file: bad value {v!r} at {k}") from None
-            if _off_lattice(k, value):
+            try:
+                sg, sp, sl = _KEY.fullmatch(k).groups()
+                g = num(sg)
+                psis = tuple(map(num, sp.split(","))) if sp else ()
+                lam = tuple(map(num, sl.split(","))) if sl else ()
+            except (AttributeError, ValueError):  # no match, or a number past int's digit limit
+                raise ValueError(f"corrupted cache file: malformed key {k!r}") from None
+            if value.denominator != 1 and not lam and _off_lattice(g, psis, value.denominator):
                 raise ValueError(f"corrupted cache file: {v} at {k} is not a psi number")
-            self.data[k] = rat_str(value)
+            self.data[g, psis, lam] = value
         self.path = path
 
     def save(self, path: str | None = None) -> str:
         path = path or self.path
         if not path:
             raise ValueError("no cache path configured")
-        payload = {"version": CACHE_VERSION, "entries": dict(sorted(self.data.items()))}
+        entries = {_key_str(*k): rat_str(v) for k, v in self.data.items()}
         d = os.path.dirname(os.path.abspath(path))
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=0, sort_keys=True)
+            json.dump({"version": CACHE_VERSION, "entries": entries}, fh, indent=0, sort_keys=True)
         os.replace(tmp, path)
         self.path = path
         self.dirty = False
         return path
 
     def get(self, g: int, psis: Sequence[int], lam: Sequence[int]) -> Fraction | None:
-        v = self.data.get(_key_str(g, psis, lam))
-        return rat_parse(v) if v is not None else None
+        return self.data.get((g, tuple(psis), tuple(lam)))
 
     def put(self, g: int, psis: Sequence[int], lam: Sequence[int], value: Fraction) -> None:
-        k = _key_str(g, psis, lam)
-        old = self.data.get(k)
-        new = rat_str(value)
-        if old is not None and old != new:
-            raise ValueError(f"cache collision at {k}: {old} vs {new}")
+        key = (g, tuple(psis), tuple(lam))
+        old = self.data.get(key)
         if old is None:
-            self.data[k] = new
+            self.data[key] = value
             self.dirty = True
+        elif old != value:
+            raise ValueError(f"cache collision at {_key_str(*key)}: {old} vs {value}")
 
     def stats(self) -> dict[str, int]:
-        pure = sum(1 for k in self.data if k.endswith(";"))
+        pure = sum(1 for _, _, lam in self.data if not lam)
         return {"entries": len(self.data), "psi_only": pure, "with_kappa": len(self.data) - pure}
-
-
-def default_cache_path() -> str | None:
-    return os.environ.get(CACHE_ENV)
 
 
 class IntersectionOracle:

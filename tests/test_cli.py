@@ -195,13 +195,38 @@ def test_malformed_cache_keys_are_refused(capsys, tmp_path):
     bad, cpath = tmp_path / "bad.json", tmp_path / "cache.json"
     cpath.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"1;1;": "1/24"}}))
     kept = cpath.read_bytes()
-    for key, value in (("garbage", "1/3"), ("2;", "5/7")):
+    # leading zeros would not save back as the same key; 5,000 digits pass int's limit
+    for key, value in (("garbage", "1/3"), ("2;", "5/7"), ("01;1;", "1/24"), ("1" * 5000 + ";1;", "1/3")):
         bad.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {key: value}}))
         code, out, err = run(capsys, ["cache", "--action", "stats", "--cache", str(bad)])
         assert code == 2 and out == "" and f"malformed key {key!r}" in err, key
         code, out, err = run(capsys, ["cache", "--action", "import", "--in", str(bad), "--cache", str(cpath)])
         assert code == 2 and out == "" and "refusing import" in err and f"malformed key {key!r}" in err
         assert cpath.read_bytes() == kept
+
+
+def test_cache_import_conflict_leaves_the_target_unchanged(capsys, tmp_path):
+    cpath, inp = tmp_path / "cache.json", tmp_path / "in.json"
+    cpath.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"0;0,0,0;": "1", "1;1;": "1/24"}}))
+    inp.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {"1;0;1": "1/24", "0;0,0,0;": "2"}}))
+    kept = cpath.read_bytes()
+    code, out, err = run(capsys, ["cache", "--action", "import", "--in", str(inp), "--cache", str(cpath)])
+    assert (code, out, err) == (2, "", "refusing import: conflicting value at 0;0,0,0;\n")
+    assert cpath.read_bytes() == kept
+
+
+def test_cache_verify_names_an_unstable_key(capsys, tmp_path):
+    # the report runs in key-string order: "0;0,0,0;" before "0;;"
+    cpath = tmp_path / "cache.json"
+    entries = {"0;;": "5/7", "1;1;": "1/24", "0;0,0,0;": "7"}
+    cpath.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": entries}))
+    code, out, err = run(capsys, ["cache", "--action", "verify", "--cache", str(cpath)])
+    assert code == 2 and err == ""
+    assert out == (
+        "bad entry 0;0,0,0;: stored 7, recomputed 1\n"
+        "bad entry 0;;: stored 5/7, cannot recompute: unstable (g, n)\n"
+        "verified 3 entries, 2 bad\n"
+    )
 
 
 def test_cache_file_not_a_json_object_is_usage_error(capsys, tmp_path):

@@ -342,7 +342,7 @@ def test_cache_version_and_collision(tmp_path):
     with pytest.raises(ValueError, match="collision"):
         c.put(1, (0,), (1,), F(1, 25))
     assert _key_str(1, (0,), (1,)) == "1;0;1"
-    c.data["1;1;"] = "1/23"  # set past load's lattice check
+    c.data[1, (1,), ()] = F(1, 23)  # set past load's lattice check
     with pytest.raises(ValueError, match="1;1; is not a psi number"):
         IntersectionOracle(c).kw_number(1, (1,))
 
@@ -359,7 +359,7 @@ def test_lattice_check_never_forms_a_huge_scale(tmp_path):
     g, d = 33_333_334, 100_000_000  # on dimension: d = 3g - 2
     on = f"{g};{d};"
     for value in ("1/3", "1/2", "-5/63", "7"):
-        assert Cache(_cache_file(tmp_path, {on: value})).data[on] == value
+        assert Cache(_cache_file(tmp_path, {on: value})).data[g, (d,), ()] == F(value)
     # 2^(3 chi + 1) and an odd prime above every 2d_i + 1 divide no scale
     for key, value in (("1;1;", "1/16"), ("1;0,2;", "1/7"), ("2;0,0,6;", "1/17")):
         with pytest.raises(ValueError, match=f"at {key} is not a psi number"):
@@ -372,15 +372,29 @@ def test_lattice_check_never_forms_a_huge_scale(tmp_path):
 
 
 def test_malformed_cache_keys_are_refused(tmp_path):
-    # every key is matched against _key_str's form while it is split for the
-    # lattice check: integer values and kappa keys included
+    # every key is parsed in _key_str's form, integer values and kappa keys
+    # included; a leading zero or a number past int's digit limit is malformed
     for key in ("garbage", "2;", "1;1", "1;1;;", "-1;1;", "1;-1;", "1;a;", "1;1,;",
-                "1;1;0", "1;1;2,", " 1;1;", "1;1;x"):
+                "1;1;0", "1;1;2,", " 1;1;", "1;1;x", "01;1;", "1;00;", "0;0,01,2;", "1;1;01",
+                "1" * 5000 + ";1;", "1;0;" + "1" * 5000):
         for value in ("1/3", "5/7", "1", "0"):
             with pytest.raises(ValueError, match="corrupted cache file: malformed key"):
                 Cache(_cache_file(tmp_path, {key: value}))
     good = {"1;1;": "1/24", "0;0,0,0;": "1", "1;0;1": "1/24", "2;;3": "1/24", "0;;": "5/7"}
-    assert Cache(_cache_file(tmp_path, good)).data == good
+    assert Cache(_cache_file(tmp_path, good)).data == {
+        (1, (1,), ()): F(1, 24), (0, (0, 0, 0), ()): 1, (1, (0,), (1,)): F(1, 24),
+        (2, (), (3,)): F(1, 24), (0, (), ()): F(5, 7),
+    }
+
+
+def test_cache_load_then_save_is_byte_identical(tmp_path):
+    # psi-only and kappa keys, whose key-string and tuple orders differ
+    entries = {"0;0,0,0;": "1", "1;1;": "1/24", "1;0;1": "1/24", "2;;3": "1/1152",
+               "10;;27": "-5/7", "2;0,0,10;": "0", "2;0,0,2;1": "3/4", "0;;": "5/7"}
+    src, out = tmp_path / "src.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": entries}, indent=0, sort_keys=True))
+    Cache(str(src)).save(str(out))
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_kclass_psi_numeric(oracle):
