@@ -55,22 +55,28 @@ def check_regularity(engine: Engine, budget: int) -> list[RegularityReport]:
     return out
 
 
-def take_limit(engine: Engine, budget: int) -> dict[tuple[int, tuple[int, ...]], ParamPoly]:
-    """eps -> 0 limit of the potential pieces within the budget.
-
-    Raises when a negative valuation is present (no limit exists).
-    """
+def _limits(engine: Engine, gns) -> dict[tuple[int, tuple[int, ...]], ParamPoly]:
+    """The nonzero eps^0 parts of the potential pieces F_{g,n} for (g, n) in
+    gns, by (g, sorted t-monomial); raises when a negative valuation is
+    present (no limit exists)."""
     out: dict[tuple[int, tuple[int, ...]], ParamPoly] = {}
-    for g, n in levels(budget):
+    for g, n in gns:
         corr = engine.correlator(g, n)
         v = corr.min_eps_valuation()
         if v is not None and v < 0:
             raise ValueError(f"not regular, no limit at (g, n) = ({g}, {n})")
         for key, coeff in correlators_to_potential(corr).items():
-            c0 = coeff.eps_part(0)
-            if c0:
+            if c0 := coeff.eps_part(0):
                 out[(g, key)] = c0
     return out
+
+
+def take_limit(engine: Engine, budget: int) -> dict[tuple[int, tuple[int, ...]], ParamPoly]:
+    """eps -> 0 limit of the potential pieces within the budget.
+
+    Raises when a negative valuation is present (no limit exists).
+    """
+    return _limits(engine, levels(budget))
 
 
 def take_limit_one_point(engine: Engine, g_max: int) -> dict[int, dict[int, ParamPoly]]:
@@ -78,20 +84,12 @@ def take_limit_one_point(engine: Engine, g_max: int) -> dict[int, dict[int, Para
 
     Returns {g: {k: coefficient of t_k}}; the (g, 1) tables only need the
     anti-diagonal g' + n' <= g + 1 of lower correlators, so they reach much
-    deeper than a uniform level budget.
+    deeper than a uniform level budget.  A one-point key has no
+    automorphisms, so its potential coefficient is the correlator entry.
     """
-    out: dict[int, dict[int, ParamPoly]] = {}
-    for g in range(1, g_max + 1):
-        corr = engine.correlator(g, 1)
-        v = corr.min_eps_valuation()
-        if v is not None and v < 0:
-            raise ValueError(f"not regular, no limit at (g, n) = ({g}, 1)")
-        row = {}
-        for (k,), coeff in corr.items():
-            c0 = coeff.eps_part(0)
-            if c0:
-                row[k] = c0
-        out[g] = row
+    out: dict[int, dict[int, ParamPoly]] = {g: {} for g in range(1, g_max + 1)}
+    for (g, (k,)), c0 in _limits(engine, [(g, 1) for g in out]).items():
+        out[g][k] = c0
     return out
 
 

@@ -206,12 +206,6 @@ class KappaPoly:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def set_last_psi_zero(self) -> "KappaPoly":
-        """Drop terms with psi_n and forget the last slot."""
-        return KappaPoly._raw(
-            {(p, a[:-1]): c for (p, a), c in self.terms.items() if a[-1] == 0}, self.n - 1
-        )
-
     def render(self) -> str:
         """Human-readable form like "9/2*k1^2 - 21/2*k2" (psi_i is "p<i>")."""
         if not self.terms:

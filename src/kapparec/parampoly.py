@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .rationals import rat_parse, rat_str
+from .rationals import rat_str
 
 Key = tuple[int, tuple[int, ...]]
 Scalar = Union[int, Fraction]
@@ -28,9 +28,9 @@ def add_terms(t: dict, pairs: Iterable[tuple]) -> dict:
 
     Zero coefficients are skipped and a key whose sum cancels is deleted, so
     no term map ever stores a zero.  This is the one zero-eliminating sum
-    behind every sparse class with Fraction or ParamPoly coefficients
-    (ParamPoly, KappaPoly, TPoly and the ZSeries product); IntSeries sums
-    plain int maps.
+    behind every sparse term map with Fraction or ParamPoly coefficients
+    (ParamPoly, KappaPoly, the ZSeries product and the plain dicts of
+    tautools); IntSeries sums plain int maps.
     """
     for k, c in pairs:
         if not c:
@@ -171,9 +171,6 @@ class ParamPoly:
     def __sub__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -187,18 +184,6 @@ class ParamPoly:
         return ParamPoly.raw(
             mul_terms(self.terms, other.terms, lambda k1, k2: (k1[0] + k2[0], _hmul(k1[1], k2[1])))
         )
-
-    def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative powers only via eps monomials")
-        out = ParamPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -227,23 +212,6 @@ class ParamPoly:
         pairs = (((0, h), c * v**e) for (e, h), c in self.terms.items() if v or not e)
         return ParamPoly(add_terms({}, pairs))
 
-    def subs_h(self, values: Mapping[int, "ParamPoly | Scalar"]) -> "ParamPoly":
-        """Substitute values (scalars or polynomials) for the h variables.
-
-        Every h-index appearing in self must be present in ``values``.
-        """
-        out = ParamPoly()
-        for (e, h), c in self.terms.items():
-            term = ParamPoly.eps(e, c) if e else ParamPoly.const(c)
-            for i, p in enumerate(h):
-                if not p:
-                    continue
-                v = values[i + 1]
-                v = v if isinstance(v, ParamPoly) else ParamPoly.const(v)
-                term = term * v**p
-            out = out + term
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_triples(self) -> list[tuple[int, list[int], str]]:
@@ -252,12 +220,6 @@ class ParamPoly:
             (e, list(h), rat_str(c))
             for (e, h), c in sorted(self.terms.items())
         ]
-
-    @staticmethod
-    def from_triples(triples: Iterable) -> "ParamPoly":
-        return ParamPoly(
-            {(int(e), tuple(int(x) for x in h)): rat_parse(c) for e, h, c in triples}
-        )
 
     def __str__(self) -> str:
         if not self.terms:

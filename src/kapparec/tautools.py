@@ -279,47 +279,9 @@ def kdv_residual(F: Potential) -> tuple[int, dict[Entry, ParamPoly]]:
 # -- genus 1 closed form ---------------------------------------------------------
 
 
-class TPoly:
-    """Multivariate polynomial in t_0..t_T as {sorted index tuple: Fraction},
-    truncated by total degree."""
-
-    __slots__ = ("terms", "deg")
-
-    def __init__(self, terms: dict[Mono, Fraction], deg: int):
-        self.terms = {k: v for k, v in terms.items() if v and len(k) <= deg}
-        self.deg = deg
-
-    @staticmethod
-    def const(c: Fraction, deg: int) -> "TPoly":
-        return TPoly({(): Fraction(c)}, deg)
-
-    @staticmethod
-    def var(i: int, deg: int) -> "TPoly":
-        return TPoly({(i,): Fraction(1)}, deg)
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        return TPoly(add_terms(dict(self.terms), other.terms.items()), min(self.deg, other.deg))
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: Fraction) -> "TPoly":
-        return TPoly({k: v * c for k, v in self.terms.items()}, self.deg)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        deg = min(self.deg, other.deg)
-
-        def key(k1: Mono, k2: Mono) -> Mono | None:
-            return tuple(sorted(k1 + k2)) if len(k1) + len(k2) <= deg else None
-
-        return TPoly(mul_terms(self.terms, other.terms, key), deg)
-
-    def valuation(self) -> int:
-        return min((len(k) for k in self.terms), default=self.deg + 1)
-
-
 def genus1_closed_form(shift: Mapping[int, Fraction], t_max: int, deg: int) -> dict[Mono, Fraction]:
-    """Genus-1 potential from the fixed-point ansatz.
+    """Genus-1 potential from the fixed-point ansatz, as {sorted t-index
+    tuple: coefficient} truncated at total degree deg.
 
     F_1 = -1/24 log(1 - sum_k q_{k+1} Y^k / k!) with Y the solution of
     Y = sum_k q_k Y^k / k!, where q_i = t_i - shift.get(i, 0) are the shifted
@@ -328,44 +290,37 @@ def genus1_closed_form(shift: Mapping[int, Fraction], t_max: int, deg: int) -> d
     if any(i < 2 for i in shift):
         raise ValueError("shifts apply to t-indices >= 2 only")
 
-    def q(i: int) -> TPoly:
-        out = TPoly.var(i, deg) if i <= t_max else TPoly({}, deg)
-        s = Fraction(shift.get(i, 0))
-        if s:
-            out = out - TPoly.const(s, deg)
-        return out
+    def times(a: dict, b: dict) -> dict:
+        return mul_terms(a, b, lambda k1, k2: tuple(sorted(k1 + k2)) if len(k1) + len(k2) <= deg else None)
+
+    def q(i: int) -> dict:
+        t = {(i,): Fraction(1)} if i <= t_max and deg > 0 else {}
+        return add_terms(t, [((), -Fraction(shift.get(i, 0)))])
 
     kmax = max(deg, t_max) + 2
-    y = TPoly({}, deg)
-    for _ in range(deg + 1):
-        new = TPoly({}, deg)
-        ypow = TPoly.const(Fraction(1), deg)
+
+    def series(coeff, y: dict) -> dict:
+        """sum_k coeff(k) y^k / k!"""
+        out, ypow = {}, {(): Fraction(1)}
         for k in range(0, kmax):
-            if k:
-                ypow = ypow * y
-                if not ypow.terms:
-                    break
-            term = q(k) * ypow
-            new = new + term.scale(Fraction(1, fact(k)))
-        y = new
-    # A = sum_k q_{k+1} Y^k / k!
-    a = TPoly({}, deg)
-    ypow = TPoly.const(Fraction(1), deg)
-    for k in range(0, kmax):
-        if k:
-            ypow = ypow * y
-            if not ypow.terms:
+            add_terms(out, ((key, c / fact(k)) for key, c in times(coeff(k), ypow).items()))
+            ypow = times(ypow, y)
+            if not ypow:
                 break
-        a = a + (q(k + 1) * ypow).scale(Fraction(1, fact(k)))
-    if a.valuation() < 1:
+        return out
+
+    y: dict = {}
+    for _ in range(deg + 1):
+        y = series(q, y)
+    a = series(lambda k: q(k + 1), y)
+    if () in a:
         raise ValueError("shifted ansatz has nonzero constant term")
-    # F1 = -1/24 log(1 - A)
-    logp = TPoly({}, deg)
-    apow = TPoly.const(Fraction(1), deg)
+    # F1 = -1/24 log(1 - A) = 1/24 sum_j A^j / j
+    f1: dict = {}
+    apow = {(): Fraction(1)}
     for j in range(1, deg + 1):
-        apow = apow * a
-        if not apow.terms:
+        apow = times(apow, a)
+        if not apow:
             break
-        logp = logp + apow.scale(Fraction(1, j))
-    f1 = logp.scale(Fraction(1, 24))
-    return dict(f1.terms)
+        add_terms(f1, ((key, c / (24 * j)) for key, c in apow.items()))
+    return f1

@@ -74,8 +74,7 @@ class SpectralCurve:
     """Odd y-series together with its h-packing and the derived inverse of
     2*eta in the integer core."""
 
-    def __init__(self, family: str, y: ZSeries, order: int, n_h: int = 0,
-                 h_weight_cap: int | None = None):
+    def __init__(self, family: str, y: ZSeries, order: int, h_weight_cap: int | None = None):
         if y.is_zero():  # zero below its order too: 2 eta has no inverse
             raise ValueError("y must not be zero")
         if any(j % 2 == 0 for j in y.coeffs):
@@ -85,11 +84,10 @@ class SpectralCurve:
         self.family = family
         self.y = y
         self.order = order
-        self.n_h = n_h
-        self.h_weight_cap = h_weight_cap
-        # an uncapped curve packs under twice its order, a bound its weights
-        # do not reach (they stay below about half the order)
-        n = max((len(h) for c in y.coeffs.values() for _, h in c.terms), default=0)
+        # n_h is the number of formal h in y.  An uncapped curve packs under
+        # twice its order, a bound its weights do not reach (they stay below
+        # about half the order)
+        n = self.n_h = max((len(h) for c in y.coeffs.values() for _, h in c.terms), default=0)
         cap = h_weight_cap if n else 0  # no h: the empty packing
         self.pack = HPacking(n, 2 * order if cap is None else cap, cap is not None)
         self._inv2eta: IntSeries | None = None
@@ -109,9 +107,6 @@ class SpectralCurve:
         raise ValueError("y fits no eps grading: its terms z^j h^alpha must all carry "
                          "eps^0 or all carry eps^(-(j+1)/2 + hweight(alpha))")
 
-    def eta_over_dz(self) -> ZSeries:
-        return self.y.shift(1)
-
     def lower(self, s: ZSeries, f: int = 1) -> IntSeries:
         """f*s at eps = 1 in the integer core, without its terms over the
         h-weight cap."""
@@ -124,7 +119,7 @@ class SpectralCurve:
             pack, s.order)
 
     def two_eta(self) -> IntSeries:
-        return self.lower(self.eta_over_dz(), 2)
+        return self.lower(self.y.shift(1), 2)  # eta/dz = z y
 
     def inv2eta(self) -> IntSeries:
         """1/(2 eta/dz) in the integer core, its terms by increasing key: the
@@ -166,7 +161,7 @@ def build_curve(family: str, order: int, n_h: int = 0,
         # "k"/"j" are the two-parameter curves without formal h-parameters
         htilde = htilde_weak(family[-1], n_h if family.startswith("weak") else 0, (order - 2) // 2)
         y = ZSeries({2 * k + 1: c * Fraction(1, odd_df(k)) for k, c in htilde.items()}, order=order)
-    return SpectralCurve(family, y, order, n_h=n_h, h_weight_cap=h_weight_cap)
+    return SpectralCurve(family, y, order, h_weight_cap)
 
 
 # an entry in integer form: (den, ((packed h-key, numerator), ...)), and a

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .intseries import _min_order
-from .parampoly import PP_ZERO, ParamPoly, Scalar, add_terms
+from .parampoly import PP_ZERO, ParamPoly, add_terms
 
 Coeff = Union[ParamPoly, Fraction, int]
 
@@ -45,10 +45,6 @@ class ZSeries:
 
     # -- basics --------------------------------------------------------------
 
-    @staticmethod
-    def zero(order: int | None = None) -> "ZSeries":
-        return ZSeries({}, order=order)
-
     def low(self) -> int | None:
         """Smallest possibly-nonzero exponent (None for the exact zero series)."""
         if self.coeffs:
@@ -66,26 +62,6 @@ class ZSeries:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.order == other.order
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0" + (f" + O(z^{self.order})" if self.order is not None else "")
-        bits = [f"({c})*z^{j}" for j, c in self.items()]
-        tail = f" + O(z^{self.order})" if self.order is not None else ""
-        return " + ".join(bits) + tail
-
-    __repr__ = __str__
-
-    def scale(self, c: ParamPoly | Scalar) -> "ZSeries":
-        c = _pp(c)
-        if not c:
-            return ZSeries.zero(order=self.order)
-        return ZSeries({j: v * c for j, v in self.coeffs.items()}, order=self.order)
-
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z^k."""
         order = None if self.order is None else self.order + k
@@ -93,32 +69,29 @@ class ZSeries:
 
     # -- multiplication ----------------------------------------------------------
 
-    def mul(self, other: "ZSeries", hi: int | None = None) -> "ZSeries":
+    def mul(self, other: "ZSeries") -> "ZSeries":
         """Exact truncated product.
 
         The provable order is min(N1+b2, N2+b1) for truncations N_i and lower
-        bounds b_i.  If hi is given the order is capped at hi+1 and higher
-        exponents are not computed.
+        bounds b_i.
         """
         if not self.coeffs or not other.coeffs:
             if (self.order is None and not self.coeffs) or (
                 other.order is None and not other.coeffs
             ):
-                return ZSeries.zero(order=None)
+                return ZSeries({}, order=None)
             b1, b2 = self.low(), other.low()
             n = _min_order(
                 None if self.order is None or b2 is None else self.order + b2,
                 None if other.order is None or b1 is None else other.order + b1,
             )
-            return ZSeries.zero(order=n)
+            return ZSeries({}, order=n)
         b1 = min(self.coeffs)
         b2 = min(other.coeffs)
         order = _min_order(
             None if self.order is None else self.order + b2,
             None if other.order is None else other.order + b1,
         )
-        if hi is not None:
-            order = _min_order(order, hi + 1)
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
@@ -132,9 +105,6 @@ class ZSeries:
             ),
         )
         return ZSeries(cs, order=order)
-
-    def __mul__(self, other: "ZSeries") -> "ZSeries":
-        return self.mul(other)
 
 
 def series_invert(s: ZSeries, out_order: int | None = None) -> ZSeries:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 from kapparec.cli import _suite_bgw, main
@@ -328,3 +329,66 @@ def test_conjecture_genus_range_follows_the_budget(capsys):
     assert code == 0 and err == "" and blob["effective_budget"] == 9
     assert len(blob["rows"]) == 48
     assert any("(g,n)=(4,0)" in row for row in blob["rows"])
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for each command: every
+# verify suite at budgets 0 and 3, each kappa-polys family, potentials and a
+# correlator table for every family, and two Hurwitz keys; a refactor that
+# moves one byte the CLI prints, or one exit code, fails here
+CLI_DIGESTS = {
+    "verify --suite bgw --epsilon-budget 0 --format pretty": "15cc01e7971c725bb498c4eba79dbdf65afe0ec7a2f7781f15f86ffc3891cce6",
+    "verify --suite bgw --epsilon-budget 0 --format json": "c41e7a762fd63f0e3f75e57e3153d5abef7ea15cddf2cedfaa6f05fe14998618",
+    "verify --suite bgw --epsilon-budget 3 --format pretty": "15cc01e7971c725bb498c4eba79dbdf65afe0ec7a2f7781f15f86ffc3891cce6",
+    "verify --suite bgw --epsilon-budget 3 --format json": "ed74842fd23ac15a561efcdb2ee8e5ff784c0ca4a28e7487fc3148f0c7522766",
+    "verify --suite conjecture --epsilon-budget 0 --format pretty": "0a9f21b461414781a474a2f009c030b62a5d4eda30e9ec20a96e1db6211b9b32",
+    "verify --suite conjecture --epsilon-budget 0 --format json": "3deea6aed5a6124688b15f884198b89d9637c85121ea22e580ae17c2475c54d8",
+    "verify --suite conjecture --epsilon-budget 3 --format pretty": "f8e4e1a7b1d58c37b8a24ddaf6e248c909d2aa0a68e0cb37be24268e976aac24",
+    "verify --suite conjecture --epsilon-budget 3 --format json": "d69def7171be153e0c2250b8172432cd03511cef9c9d3531a0f80582b0ac7f86",
+    "verify --suite hurwitz --epsilon-budget 0 --format pretty": "cb66321a491da29203c11c865a59833aa36efcb4721730eb4f098c7c6df19159",
+    "verify --suite hurwitz --epsilon-budget 0 --format json": "cb66321a491da29203c11c865a59833aa36efcb4721730eb4f098c7c6df19159",
+    "verify --suite hurwitz --epsilon-budget 3 --format pretty": "3b16c0955c55d0be600f98627621cce9d24c0907cf95d5a2a0f29670e98036f9",
+    "verify --suite hurwitz --epsilon-budget 3 --format json": "d8e131c5f5551a8e3b04675505a7bec31f1eff6dd0de45fb8f3c9d7e0d0a436c",
+    "verify --suite kdv --epsilon-budget 0 --format pretty": "a72b8430f2d4f8955ee710b4f325a99747f7d81f586e96cd88d1549d4586d11f",
+    "verify --suite kdv --epsilon-budget 0 --format json": "31217a955c282dc2076934775cd3384edb873ca995da7dedf52d78cc5fef2b3e",
+    "verify --suite kdv --epsilon-budget 3 --format pretty": "229c1258ba0a00c685a6e5d96b1d54833bcbe55eba1173518c8abf6d914ef985",
+    "verify --suite kdv --epsilon-budget 3 --format json": "362befa8495750b3ec511771bda9ba90fedacf84d946318bd108cf02d167c1b1",
+    "verify --suite regularity --epsilon-budget 0 --format pretty": "3cd5f0f64af6c5ae55d97e19411e8d749e8171b4234d1e820068c522ea89bb8e",
+    "verify --suite regularity --epsilon-budget 0 --format json": "3cd5f0f64af6c5ae55d97e19411e8d749e8171b4234d1e820068c522ea89bb8e",
+    "verify --suite regularity --epsilon-budget 3 --format pretty": "c4a19cf902e37f42fd8d17be2889fcee0fdf200c2cdf6ade7412750c97150c5c",
+    "verify --suite regularity --epsilon-budget 3 --format json": "4bc4a9c810359577dae80984bd0221a00c978d227639e36473f8cb515fb976c8",
+    "verify --suite virasoro --epsilon-budget 0 --format pretty": "a72cdf5baa202a612f7aa7f706678b2d1b0a0c025cd262c6a15e50f858e5f22e",
+    "verify --suite virasoro --epsilon-budget 0 --format json": "3f65446978b1e6e32541210c521bb1e1b5d674c3d6df63459cbfe539b40f727e",
+    "verify --suite virasoro --epsilon-budget 3 --format pretty": "5ffc1209405373ad2b71aba7148d13823f628e18ea196de542db9e5a86bc95bf",
+    "verify --suite virasoro --epsilon-budget 3 --format json": "ac6735bfeb0c96b42098d90717f008e7c1522404dce9ff44f11fc838d22e59f6",
+    "kappa-polys --family k --m-max 6 --format pretty": "7d94ffcc6178feeed28e182f47b7ef366214e26eeff4d7e23990f410a8b362eb",
+    "kappa-polys --family k --m-max 6 --format json": "b38b928998cf69521f31f2a53df7e3bd7e1790dcc94e92b3d01dff6f99a47ffa",
+    "kappa-polys --family j --m-max 6 --format pretty": "216cdd8c01b6e8e1a2ac650e598bb874b1a00794ff04cb26040a07cd0ab88d68",
+    "kappa-polys --family j --m-max 6 --format json": "9b353aef028c1a72703e7f3a6b759bb9594ad704928c4ce7327d776f0a845790",
+    "kappa-polys --family p --m-max 6 --format pretty": "f84c9fabc73d796706039143f51b59b9e7a4928f8875286c9f7a46855bc3bea7",
+    "kappa-polys --family p --m-max 6 --format json": "e38aa259d75c56d01d5b3213584bac7328d59c986ddd11d8c7e22c3bef5e417c",
+    "potentials --family bgw --format json": "b0582a81d642ab73b3734423a6d88fba1414948c4a61048946eff02c2654be82",
+    "correlators --family bgw --g 1 --n 2": "b04a5479f45830f1f6278a9dc3179fc3a3bef60dd79d24534126773a94e1c6c2",
+    "potentials --family j --format json": "479eaed62fb9ee3e7d64277544e3d7f7f5cfea692a9c15cf985248dfd09ce6eb",
+    "correlators --family j --g 1 --n 2": "51653ec272991f5c4d54305242d7dda7a7bce250e9cb8e61835559ba13054360",
+    "potentials --family k --format json": "6c8388e9fbd522d921a4553916e4e5b2dbce28210ed778145749247fa1a9e05d",
+    "correlators --family k --g 1 --n 2": "3ed9449197313a1c47021953e4daaa6120684b8c0a31f525238c360b2a5b00c6",
+    "potentials --family kstar --format json": "27ec7985b0e3cb9717248f8222d4148f8ea2b5dbf65474bbb5ee182b0364e8db",
+    "correlators --family kstar --g 1 --n 2": "305c238833e6b865bbacb11786c7c236826e3e0118136eaacdf0fccdcda0d732",
+    "potentials --family kw --format json": "561fe38b49298d3993ea895525eabc4245e77e605791e69a95ab0ffb5eca3f7b",
+    "correlators --family kw --g 1 --n 2": "a53d072f92910977d5a6834b68f41d2a1759b79573cd513451fde10228874b39",
+    "potentials --family weak-j --format json": "db71fd9fa54e420be96e603deee9caed78734a46b8ac604c5d97063130d68b9d",
+    "correlators --family weak-j --g 1 --n 2": "e77a0519eccb7f7d39a8b0dfec3c0439126bd1d197e623134d318a7fe485ba6c",
+    "potentials --family weak-k --format json": "e66a1f2c64db854bc965ede9a92e0e9e8a67d3e0a1ca8c79602a536ede1288dd",
+    "correlators --family weak-k --g 1 --n 2": "02381f7ed2bfd97bb256733b6bf4b42e91a65aa9da6293b532186edcee726102",
+    "hurwitz --g 1 --partition 2,1": "a197e3f9edc08fe177452ce70ba623f8bb4e0a872833e1009a62491f6b88fa0b",
+    "hurwitz --g 0 --partition 2,1,1 --format json": "2194910aea9a83d985b5af7de93fde6bccccf29ea870830d8632e71525e7f288",
+}
+
+
+def test_cli_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("KAPPAREC_CACHE", raising=False)
+    got = {}
+    for cmd in CLI_DIGESTS:
+        blob = json.dumps(list(run(capsys, cmd.split())))
+        got[cmd] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == CLI_DIGESTS
