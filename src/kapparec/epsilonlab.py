@@ -47,7 +47,7 @@ def check_regularity(engine: Engine, budget: int) -> list[RegularityReport]:
                 family=engine.curve.family,
                 g=g,
                 n=n,
-                entries=len(corr.entries),
+                entries=len(corr.forms),
                 min_eps_valuation=v,
                 passed=(v is None or v >= 0),
             )

@@ -16,12 +16,12 @@ ELSV-type pairing against exp(sum (-1)^i s_i kappa_i) with Phi-factors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from math import comb, factorial, prod
+from typing import Callable, Sequence
 
 from .intersect import IntersectionOracle
 from .kappapoly import aut
-from .rationals import binomial, odd_df
+from .rationals import odd_df
 from .toprec import Correlator, Engine
 
 
@@ -146,21 +146,24 @@ def pvec(oracle: IntersectionOracle, g: int, args: Sequence[Fraction]) -> Fracti
     dim = 3 * g - 3 + n
     phis = [phi_coeffs(Fraction(k), dim) for k in args]
     hv = kstar_hvals(dim)
-    base_cache: dict[tuple[int, ...], Fraction] = {}
+    return _slot_sum(n, dim, lambda key: oracle.kclass_psi(g, key, hv), lambda i, e: phis[i][e])
+
+
+def _slot_sum(n: int, dim: int, value: Callable[[tuple[int, ...]], Fraction],
+              factor: Callable[[int, int], Fraction]) -> Fraction:
+    """sum of value(sorted(e)) * prod_i factor(i, e_i) over the n-tuples e of
+    non-negative ints with sum(e) <= dim.  value is read once per sorted key,
+    and not at all where the product of factors vanishes."""
+    table = [[factor(i, e) for e in range(dim + 1)] for i in range(n)]
+    values: dict[tuple[int, ...], Fraction] = {}
     total = Fraction(0)
     for exps in _all_tuples(n, dim):
-        coeff = Fraction(1)
-        for i, e in enumerate(exps):
-            coeff *= phis[i][e]
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        key = tuple(sorted(exps))
-        if key not in base_cache:
-            base_cache[key] = oracle.kclass_psi(g, key, hv)
-        v = base_cache[key]
-        if v:
+        coeff = prod(row[e] for row, e in zip(table, exps))
+        if coeff:
+            key = tuple(sorted(exps))
+            v = values.get(key)
+            if v is None:
+                v = values[key] = value(key)
             total += coeff * v
     return total
 
@@ -177,10 +180,7 @@ def _all_tuples(n: int, total_max: int):
 def elsv_value(oracle: IntersectionOracle, g: int, partition: Sequence[int]) -> Fraction:
     """Monotone Hurwitz number as prod binom(2k_i, k_i) times the P-pairing."""
     partition = tuple(partition)
-    pref = Fraction(1)
-    for k in partition:
-        pref *= binomial(2 * k, k)
-    return pref * pvec(oracle, g, [Fraction(k) for k in partition])
+    return prod(comb(2 * k, k) for k in partition) * pvec(oracle, g, [Fraction(k) for k in partition])
 
 
 # -- re-expansion of correlators at z = 1 ------------------------------------------
@@ -191,7 +191,7 @@ def x_coeff(k: int, i: int) -> Fraction:
     i * binom(2i, i) * prod_{j=1}^k (2i + 2j - 1)."""
     if i < 1:
         return Fraction(0)
-    run = Fraction(i * binomial(2 * i, i))
+    run = Fraction(i * comb(2 * i, i))
     for j in range(1, k + 1):
         run *= 2 * i + 2 * j - 1
     return run
@@ -211,19 +211,8 @@ def expand_at_one(corr: Correlator, partition: Sequence[int]) -> Fraction:
     if 2 * corr.g - 2 + n <= 0:
         raise ValueError("outside stable range")
     dim = 3 * corr.g - 3 + n
-    total = Fraction(0)
-    entries = dict(corr.entries)
-    for exps in _all_tuples(n, dim):
-        v = entries.get(tuple(sorted(exps)))
-        if v is None:
-            continue
-        c = v.as_fraction()
-        for e, k in zip(exps, partition):
-            c *= x_coeff(e, k)
-        total += c
-    for k in partition:
-        total /= k
-    return total
+    total = _slot_sum(n, dim, lambda key: corr.value(key).as_fraction(), lambda i, e: x_coeff(e, partition[i]))
+    return total / prod(partition)
 
 
 def hurwitz_three_ways(

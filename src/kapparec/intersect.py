@@ -109,7 +109,7 @@ def _off_lattice(g: int, psis: tuple[int, ...], q: int) -> bool:
     """Whether no psi number at the psi-only key (g, psis) has denominator q,
     on a stable (g, n): off dimension, or q not dividing _scale, tested
     without forming _scale (a key may hold a huge exponent) by dividing out
-    odd factors until 1."""
+    odd factors until 1, or until q is itself one of the factors to come."""
     chi = 2 * g - 2 + len(psis)
     if chi <= 0:
         return False
@@ -118,9 +118,9 @@ def _off_lattice(g: int, psis: tuple[int, ...], q: int) -> bool:
     twos = (q & -q).bit_length() - 1
     q >>= twos
     for d in psis:
-        j = 3
-        while q != 1 and j <= 2 * d + 1:
-            q //= gcd(q, j)
+        j, top = 3, 2 * d + 1
+        while q != 1 and j <= top:
+            q = 1 if j <= q <= top else q // gcd(q, j)  # a q still to come divides
             j += 2
     return q != 1 or twos > 3 * chi
 
@@ -330,6 +330,9 @@ class IntersectionOracle:
             return self.kw_number(g, psis)
         if lam[-1] < 0:
             raise ValueError("kappa indices must be non-negative")
+        if not lam[-1]:  # each kappa_0 is the scalar 2g-2+n, and no key holds one
+            z = lam.count(0)
+            return (2 * g - 2 + n) ** z * self.kappa_psi_number(g, n, psis, lam[:-z])
         if sum(lam) + sum(psis) != 3 * g - 3 + n or (psis and psis[0] < 0):
             return Zero
         key = (g, psis, lam)

@@ -12,12 +12,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
-from .coeffs import ell_from_ab
+from .coeffs import alternating_product_series, ell_from_ab, exp_coeffs
 from .parampoly import ParamPoly, add_terms, mul_terms
-from .rationals import binomial, fact, rat_str
+from .rationals import fact, rat_str
 
 Partition = tuple[int, ...]
 Key = tuple[Partition, tuple[int, ...]]
@@ -73,7 +73,7 @@ def multiset_splits(mu: Sequence[int]) -> list[Split]:
     """
     out = [((), (), 1)]
     for v, m in sorted(multiplicities(mu).items()):
-        takes = [((v,) * t, (v,) * (m - t), binomial(m, t)) for t in range(m + 1)]
+        takes = [((v,) * t, (v,) * (m - t), comb(m, t)) for t in range(m + 1)]
         out = [
             (alpha + a, beta + b, ways * c)
             for alpha, beta, ways in out
@@ -168,9 +168,6 @@ class KappaPoly:
         zero = (0,) * n
         return KappaPoly._raw({(p, zero): c for (p, _), c in self.terms.items()}, n)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int | None:
         """Common weighted degree, or None if inhomogeneous / zero."""
         degs = {sum(p) + sum(a) for (p, a) in self.terms}
@@ -232,10 +229,7 @@ class KappaPoly:
             for (p, _), c in sorted(self.terms.items())
         }
 
-    def __str__(self) -> str:
-        return self.render()
-
-    __repr__ = __str__
+    __repr__ = render
 
 
 def _product_key(k1: Key, k2: Key) -> Key:
@@ -310,33 +304,22 @@ def pullback(P: KappaPoly, a: Fraction, b: Fraction) -> KappaPoly:
     fam = family_polys(Fraction(a), Fraction(b), m)
     if P != fam[m]:
         raise ValueError("input is not the (a,b) family polynomial of its degree")
-    out = KappaPoly(n=1)
-    rising = Fraction(1)
-    for i in range(0, m + 1):
-        if i > 0:
-            rising *= Fraction(a) + (i - 1) * Fraction(b)
-        contrib = KappaPoly(
-            {(p, (i,)): c * Fraction((-1) ** i) * rising for (p, _), c in fam[m - i].terms.items()}, 1
-        )
-        out = out + contrib
-    return out
+    signed = alternating_product_series(Fraction(a), Fraction(b), m + 1)
+    return KappaPoly(
+        {(p, (i,)): c * signed[i] for i in range(m + 1) for (p, _), c in fam[m - i].terms.items()}, 1
+    )
 
 
 def kappa_substitute_pullback(P: KappaPoly) -> KappaPoly:
     """Substitute kappa_j -> kappa_j - psi_new^j, appending a new psi slot
     after P's n slots."""
     nn = P.n + 1
+    zero = (0,) * nn
     out = KappaPoly(n=nn)
     for (p, a), c in P.terms.items():
         expansion = KappaPoly({((), a + (0,)): c}, nn)
-        for v, mult in multiplicities(p).items():
-            factor = KappaPoly(n=nn)
-            for ch in range(mult + 1):
-                key = ((v,) * (mult - ch), tuple([0] * (nn - 1)) + (v * ch,))
-                factor = factor + KappaPoly(
-                    {key: Fraction(binomial(mult, ch) * (-1) ** ch)}, nn
-                )
-            expansion = expansion * factor
+        for v in p:
+            expansion = expansion * KappaPoly({((v,), zero): 1, ((), zero[:-1] + (v,)): -1}, nn)
         out = out + expansion
     return out
 
@@ -347,49 +330,28 @@ def shift_coeffs(style: str, k: int, chi: int, order: int) -> ParamPoly:
     Iterates the push-forward scalar recursion, sums eps^m/m! (times the
     (1-eps)^{2g-2+n} prefactor in the K case), and cross-checks the closed
     forms d_k = e^{-(k+chi) eps} and c_k = (1-eps)^{2(k+chi)} before returning
-    the truncated eps-polynomial.  chi = 2 - 2g - n of the target space.
+    the eps-polynomial truncated below eps^order.  chi = 2 - 2g - n of the
+    target space.
     """
     if style not in ("k", "j"):
         raise ValueError("style must be 'k' or 'j'")
     if -chi < 0:
         raise ValueError("need 2g-2+n >= 0")
-    a, b = (Fraction(3), Fraction(2)) if style == "k" else (Fraction(1), Fraction(1))
-    total = ParamPoly.const(1)
-    run = Fraction(1)
-    factm = 1
-    for m in range(1, order):
+    a, b = (3, 2) if style == "k" else (1, 1)
+    order = max(order, 0)  # the truncation below eps^0 is zero
+    size = max(order, 2)
+    total = [Fraction(1)]
+    for m in range(1, size):
         # m-th forgetful step: target (g, n+m-1), source class L_{k+m}
-        run *= a * (-chi + (m - 1)) - b * (k + m - 1)
-        factm *= m
-        total = total + ParamPoly.eps(m, run / factm)
+        total.append(total[-1] * (a * (-chi + m - 1) - b * (k + m - 1)) / m)
     if style == "k":
-        total = _eps_trunc(total.mul(_binseries(-chi, order)), order)
-        closed = _binseries(2 * (k + chi), order)
+        # (1-eps)^e = exp(e log(1-eps))
+        log1m = [Fraction(0)] + [Fraction(-1, i) for i in range(1, size)]
+        pre = exp_coeffs([-chi * c for c in log1m])
+        total = [sum(total[i] * pre[m - i] for i in range(m + 1)) for m in range(size)]
+        closed = exp_coeffs([2 * (k + chi) * c for c in log1m])
     else:
-        closed = ParamPoly.zero()
-        run = Fraction(1)
-        for m in range(order):
-            if m:
-                run = run * Fraction(-(k + chi)) / m
-            closed = closed + ParamPoly.eps(m, run)
-    closed = _eps_trunc(closed, order)
-    if total != closed:
+        closed = exp_coeffs([Fraction(0), Fraction(-(k + chi))] + [Fraction(0)] * (size - 2))
+    if total[:order] != closed[:order]:
         raise AssertionError("shift coefficient recursion disagrees with closed form")
-    return total
-
-
-def _binseries(e: int, order: int) -> ParamPoly:
-    """(1-eps)^e as a truncated eps-series, any integer e."""
-    out = ParamPoly.zero()
-    for i in range(order):
-        if e >= 0:
-            c = Fraction(binomial(e, i) * (-1) ** i)
-        else:
-            c = Fraction(binomial(-e + i - 1, i))
-        if c:
-            out = out + ParamPoly.eps(i, c)
-    return out
-
-
-def _eps_trunc(p: ParamPoly, order: int) -> ParamPoly:
-    return ParamPoly({key: c for key, c in p.terms.items() if key[0] < order})
+    return ParamPoly({(m, ()): c for m, c in enumerate(total[:order])})

@@ -221,23 +221,8 @@ class ParamPoly:
             for (e, h), c in sorted(self.terms.items())
         ]
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (e, h), c in sorted(self.terms.items()):
-            factors = []
-            if c != 1 or (e == 0 and not h):
-                factors.append(rat_str(c))
-            if e:
-                factors.append(f"e^{e}" if e != 1 else "e")
-            for i, p in enumerate(h):
-                if p:
-                    factors.append(f"h{i + 1}" + (f"^{p}" if p > 1 else ""))
-            bits.append("*".join(factors))
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def __repr__(self) -> str:
+        return f"ParamPoly({self.to_triples()})"
 
 
 def _coerce(x: "ParamPoly | Scalar") -> ParamPoly:

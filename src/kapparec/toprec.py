@@ -51,7 +51,6 @@ dropped when the level is done.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -200,8 +199,9 @@ class Correlator:
         })
 
     @property
-    def entries(self) -> _EntryView:
-        return _EntryView(self)
+    def entries(self) -> dict[tuple[int, ...], ParamPoly]:
+        """Every entry's view, in a dict built on each read and never kept."""
+        return {key: self.view(key, f) for key, f in self.forms.items()}
 
     def value(self, key: tuple[int, ...]) -> ParamPoly:
         f = self.form(key)
@@ -227,25 +227,6 @@ class Correlator:
                 {"k": list(k), "coeff": c.to_triples()} for k, c in self.items()
             ],
         }
-
-
-class _EntryView(Mapping):
-    """A Correlator's entries as ParamPoly, each built when it is read and
-    never kept; its length and keys are the stored forms'."""
-
-    __slots__ = ("_corr",)
-
-    def __init__(self, corr: Correlator):
-        self._corr = corr
-
-    def __getitem__(self, key: tuple[int, ...]) -> ParamPoly:
-        return self._corr.view(key, self._corr.forms[key])
-
-    def __iter__(self):
-        return iter(self._corr.forms)
-
-    def __len__(self) -> int:
-        return len(self._corr.forms)
 
 
 @lru_cache(maxsize=None)

@@ -174,11 +174,15 @@ def test_expand_at_one_stability(kstar_engine):
 
 
 def test_triple_agreement_small(oracle, kstar_engine):
-    for d in range(1, 5):
+    # every partition of d <= 4 at g <= 2, and of d = 5 and 6 at g <= 1
+    cases = [(d, g) for d in range(1, 5) for g in range(3)] + [(d, g) for d in (5, 6) for g in (0, 1)]
+    checked = 0
+    for d, g in cases:
         for part in partitions(d):
-            for g in range(0, 3):
-                if 2 * g - 2 + len(part) <= 0:
-                    continue
-                r = hurwitz_three_ways(oracle, kstar_engine, g, part)
-                vals = {v for v in r.values() if v is not None}
-                assert len(vals) == 1, (g, part, r)
+            if 2 * g - 2 + len(part) <= 0:
+                continue
+            r = hurwitz_three_ways(oracle, kstar_engine, g, part)
+            vals = {v for v in r.values() if v is not None}
+            assert len(vals) == 1, (g, part, r)
+            checked += d >= 5
+    assert checked == 29

@@ -3,12 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 from math import prod
 
 import pytest
 
-from kapparec.intersect import Cache, IntersectionOracle, _key_str, _scale
+from kapparec.intersect import Cache, IntersectionOracle, _key_str, _off_lattice, _scale
 from kapparec.kappapoly import (
     KappaPoly,
     cached_multiset_splits,
@@ -217,6 +218,26 @@ def test_signed_block_keys_equals_the_set_partition_sum():
     assert signed_block_keys(()) == (((), 1),)
 
 
+
+def test_kappa_zero_is_the_scalar_and_every_written_key_loads_back(tmp_path):
+    # kappa_0 = 2g-2+n, as the set-partition formula gives it; it is taken
+    # out before the memo and the cache key, which cannot hold a kappa part 0
+    keys = [(1, 1, (1,), (0,)), (0, 4, (1, 0, 0, 0), (0, 0)), (1, 2, (0, 1), (1, 0)),
+            (2, 1, (1,), (2, 1, 0, 0)), (0, 5, (0,) * 5, (2, 0)), (1, 1, (0,), (1, 0, 0, 0))]
+    o = IntersectionOracle()
+    for g, n, psis, lam in keys:
+        want = sum((-1) ** (len(lam) - len(blocks)) * o.kw_number(g, psis + tuple(sum(b) + 1 for b in blocks))
+                   for blocks in set_partitions(lam))
+        assert o.kappa_psi_number(g, n, psis, lam) == want, (g, psis, lam)
+    path = str(tmp_path / "c.json")
+    o = IntersectionOracle(Cache(path))
+    assert o.kappa_psi_number(1, 1, (1,), (0,)) == F(1, 24)
+    values = [o.kappa_psi_number(*key) for key in keys]
+    o.cache.save()
+    reloaded = Cache(path)
+    assert reloaded.data == o.cache.data
+    assert [IntersectionOracle(reloaded).kappa_psi_number(*key) for key in keys] == values
+
 # sha256 of "g;psis;lam=value" lines of every kappa_psi_number with g <= 4,
 # dim <= 8, every sorted psi vector and every non-empty lam, as the oracle
 # computed them by listing set partitions
@@ -370,6 +391,28 @@ def test_lattice_check_never_forms_a_huge_scale(tmp_path):
             Cache(_cache_file(tmp_path, {key: "1/3"}))
     assert Cache(_cache_file(tmp_path, {"0;100000000,0,0;": "0"})).data
 
+
+
+def test_lattice_check_stops_at_a_factor_still_to_come(tmp_path):
+    # the odd q = 10000019 lies in 3..2d+1, so it divides (2d+1)!! without the
+    # five million trial divisions below it
+    g, d = 33_333_334, 100_000_000
+    start = time.perf_counter()
+    cache = Cache(_cache_file(tmp_path, {f"{g};{d};": "1/10000019"}))
+    assert time.perf_counter() - start < 0.5
+    assert cache.data[g, (d,), ()] == F(1, 10000019)
+    # on small keys the check is exactly "q divides no _scale"
+    from kapparec.toprec import _sorted_tuples
+
+    for g in range(4):
+        for n in range(1, 7):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0 or dim > 6:
+                continue
+            for psis in _sorted_tuples(n, dim):
+                scale = _scale(g, psis)
+                for q in [*range(1, 300), scale, scale // 3, 2 * scale]:
+                    assert _off_lattice(g, psis, q) == (sum(psis) != dim or scale % q != 0), (g, psis, q)
 
 def test_malformed_cache_keys_are_refused(tmp_path):
     # every key is parsed in _key_str's form, integer values and kappa keys

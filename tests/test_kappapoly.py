@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from kapparec.kappapoly import (
     j_polys,
     k_polys,
     kappa_substitute_pullback,
+    multiplicities,
     p_polys,
     partitions,
     pullback,
@@ -227,6 +229,36 @@ def test_substitution_examples():
     assert back == J2
 
 
+
+def substitute_by_multiplicity(P):
+    """kappa_j -> kappa_j - psi_new^j with each distinct part v of
+    multiplicity m expanded at once, as sum_c binom(m, c) (-1)^c
+    kappa_v^(m-c) psi_new^(v c): the reference for kappa_substitute_pullback,
+    which multiplies by kappa_v - psi_new^v once per part."""
+    nn = P.n + 1
+    out = KappaPoly(n=nn)
+    for (p, a), c in P.terms.items():
+        expansion = KappaPoly({((), a + (0,)): c}, nn)
+        for v, mult in multiplicities(p).items():
+            expansion = expansion * KappaPoly(
+                {((v,) * (mult - ch), (0,) * (nn - 1) + (v * ch,)): comb(mult, ch) * (-1) ** ch
+                 for ch in range(mult + 1)}, nn)
+        out = out + expansion
+    return out
+
+
+def test_substitution_equals_the_per_multiplicity_expansion():
+    # every K/J/P polynomial to degree 6, kappa-only and times a psi
+    # polynomial on one or two slots
+    psi_parts = [None, KappaPoly({((), (1,)): 1, ((1,), (0,)): F(-1, 2)}, 1),
+                 KappaPoly({((), (2, 0)): 3, ((), (1, 1)): -1, ((), (0, 0)): 1}, 2)]
+    for fam in (k_polys, j_polys, p_polys):
+        polys = fam(6)
+        for m in range(7):
+            for psi in psi_parts:
+                P = polys[m] if psi is None else polys[m] * psi
+                assert kappa_substitute_pullback(P) == substitute_by_multiplicity(P), (fam, m, psi)
+
 def test_numeric_pushforward_against_oracle():
     # <L_{m+1} subst(mu)>_{g,n+1} = (a(2g-2+n) - b m) <L_m mu>_{g,n}
     oracle = IntersectionOracle()
@@ -271,6 +303,22 @@ def test_shift_coeffs():
     with pytest.raises(ValueError):
         shift_coeffs("x", 0, 0, 3)
 
+
+
+def test_shift_coeffs_on_a_grid_against_the_closed_forms():
+    # K: (1-eps)^e with e = 2(k+chi), a binomial series of either sign;
+    # J: e^{-(k+chi) eps}; both truncated below eps^order, and zero at order 0
+    for k in range(5):
+        for chi in range(-6, 1):
+            e = 2 * (k + chi)
+            for order in range(9):
+                want = {
+                    "k": [F((-1) ** i * comb(e, i)) if e >= 0 else F(comb(-e + i - 1, i)) for i in range(order)],
+                    "j": [F(-(k + chi)) ** i / factorial(i) for i in range(order)],
+                }
+                for style, coeffs in want.items():
+                    got = shift_coeffs(style, k, chi, order)
+                    assert got == ParamPoly({(i, ()): c for i, c in enumerate(coeffs)}), (style, k, chi, order)
 
 def test_render_and_json():
     K2 = k_polys(2)[2]

@@ -603,3 +603,12 @@ def test_mixed_w02_rule_is_bergman_odd_part(kw_engine):
 def test_required_order_formula():
     assert required_order(1, 1) == 2 * (3 - 2 + 1) + 2
     assert required_order(2, 1) == 12
+
+
+def test_entries_is_a_fresh_dict_on_each_read(k_engine):
+    corr = k_engine.correlator(1, 2)
+    first, second = corr.entries, corr.entries
+    assert type(first) is dict and first is not second and first == second
+    assert list(first) == list(corr.forms) and all(v == corr.value(k) for k, v in first.items())
+    first.clear()
+    assert len(corr.entries) == len(corr.forms) > 0
