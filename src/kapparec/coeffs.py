@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Sequence
 
 from .parampoly import ParamPoly
-from .rationals import fact, odd_df
+from .rationals import odd_df
 
 
 def exp_coeffs(a: Sequence[Fraction]) -> list[Fraction]:
@@ -118,7 +119,7 @@ def h_star(style: str, k: int) -> Fraction:
     if style == "k":
         return Fraction((-1) ** k * odd_df(k))
     if style == "j":
-        return Fraction((-1) ** k * fact(k))
+        return Fraction((-1) ** k * factorial(k))
     raise ValueError(f"unknown specialization style {style!r}")
 
 

@@ -9,9 +9,11 @@ at the key ``(j << pack.zshift) | pack.pack(alpha)``, so keys add as the
 monomials multiply and sort by exponent first.  With no h (an empty pack)
 the key is j and the value at z^j is ``coeffs[j] / den``.
 
-Products and sums reduce nothing: a product multiplies the denominators,
-and a sum rescales to the lcm of its terms' denominators.  A gcd is taken
-only by ``reduced`` (each step of ``invert``) and by the engine's read-off.
+``mul`` and ``sum_of_products`` are the package's only products of integer
+series; the engine's read-off is a ``mul`` bounded at the poles it keeps.
+They reduce nothing: a product multiplies the denominators, and a sum
+rescales to the lcm of its terms' denominators.  A gcd is taken only by
+``reduced`` (each step of ``invert``) and by the engine's read-off.
 Integer multiply-adds are several times cheaper than ``Fraction`` ones,
 which normalise after every operation.
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from .parampoly import hweight
 
@@ -103,18 +104,6 @@ class IntSeries:
         self.order = order
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[int, Fraction, int]], pack: HPacking,
-                   order: int | None = None) -> "IntSeries":
-        """The series sum c*f at key e over (e, c, f) triples with Fraction c
-        and int f, over the lcm of the denominators of the c."""
-        terms = [t for t in terms if t[1]]
-        den = lcm(*(c.denominator for _, c, _ in terms))
-        out: dict[int, int] = {}
-        for e, c, f in terms:
-            out[e] = out.get(e, 0) + c.numerator * f * (den // c.denominator)
-        return IntSeries({e: v for e, v in out.items() if v}, den, pack, order)
-
-    @staticmethod
     def sum_of_products(base: "IntSeries | None", products, pack: HPacking) -> "IntSeries":
         """base + sum of ways * s1 * s2 over (s1, s2, ways), all exact, over
         the lcm of the denominators; each product's rescaling rides on ways."""
@@ -158,14 +147,15 @@ class IntSeries:
         )
         if hi is not None:
             order = _min_order(order, hi + 1)
-        top = None if order is None else order << zs
+        # an exact product stops past its largest key; an empty operand runs no loop
+        top = order << zs if order is not None else max(a) + max(b) + 1 if a and b else 0
         out: dict[int, int] = {}
         get = out.get
         bs = sorted(b.items())
         for j1, c1 in a.items():
             for j2, c2 in bs:
                 j = j1 + j2
-                if top is not None and j >= top:
+                if j >= top:
                     break
                 out[j] = get(j, 0) + c1 * c2
         return IntSeries(_kept(out, self.pack), self.den * other.den, self.pack, order)

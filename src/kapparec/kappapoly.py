@@ -12,12 +12,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .coeffs import alternating_product_series, ell_from_ab, exp_coeffs
 from .parampoly import ParamPoly, add_terms, mul_terms
-from .rationals import fact, rat_str
+from .rationals import rat_str
 
 Partition = tuple[int, ...]
 Key = tuple[Partition, tuple[int, ...]]
@@ -56,10 +56,7 @@ def insert_sorted(t: tuple[int, ...], x: int) -> tuple[int, ...]:
 def aut(mu: Sequence[int]) -> int:
     """Order of the automorphism group of the multiset mu: the product of
     its multiplicities' factorials."""
-    out = 1
-    for m in multiplicities(mu).values():
-        out *= fact(m)
-    return out
+    return prod(map(factorial, multiplicities(mu).values()))
 
 
 def multiset_splits(mu: Sequence[int]) -> list[Split]:
@@ -112,9 +109,10 @@ def signed_block_keys(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int]
 
 
 def _canon(p: Iterable[int]) -> Partition:
-    t = tuple(sorted((x for x in p if x != 0), reverse=True))
-    if any(x < 0 for x in t):
-        raise ValueError("partition parts must be positive")
+    """p non-increasing, its 0 parts kept: kappa_0 is the scalar 2g-2+n."""
+    t = tuple(sorted(p, reverse=True))
+    if t and t[-1] < 0:
+        raise ValueError("partition parts must be non-negative")
     return t
 
 
@@ -250,7 +248,7 @@ def expand_family(ell: Sequence[Fraction], m_max: int) -> list[KappaPoly]:
 def _graded_piece(ell: tuple[Fraction, ...]) -> KappaPoly:
     """L_m of exp(sum_i ell_i kappa_i) for m = len(ell)."""
     return KappaPoly({
-        (lam, ()): prod(ell[v - 1] ** a / fact(a) for v, a in multiplicities(lam).items())
+        (lam, ()): prod(ell[v - 1] ** a / factorial(a) for v, a in multiplicities(lam).items())
         for lam in partitions(len(ell))
     })
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import prod
 
 def rat_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
@@ -33,7 +33,3 @@ def odd_df(k: int) -> int:
     if k < -1:
         raise ValueError(f"double factorial undefined for {2 * k + 1}")
     return prod(range(1, 2 * k + 2, 2))
-
-
-def fact(n: int) -> int:
-    return factorial(n)

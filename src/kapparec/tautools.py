@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from math import factorial
 from typing import Mapping
 
 from .intersect import IntersectionOracle
 from .kappapoly import aut
 from .parampoly import PP_ZERO, ParamPoly, add_terms, mul_terms
-from .rationals import fact, odd_df
+from .rationals import odd_df
 from .toprec import Engine, _sorted_tuples, correlators_to_potential, levels
 
 Mono = tuple[int, ...]
@@ -34,8 +35,8 @@ def _times(k1: Entry, k2: Entry) -> Entry:
 
 
 class Potential:
-    """A potential table.  ``_maps`` memoizes the derivative, product and
-    constraint maps read off it, shared with every caller, which copies a map
+    """A potential table.  ``_maps`` memoizes the derivative and constraint
+    maps read off it, shared with every caller, which copies a map
     before changing it; ``merge`` is the one way to change the table."""
 
     def __init__(self, coeffs: dict[Entry, ParamPoly], budget: int):
@@ -79,19 +80,17 @@ class Potential:
     def product(self, da: Mono, db: Mono, lo: int, hi: int) -> Terms:
         """The map of (d_{da} F)(d_{db} F) on the levels lo..hi: the factors
         are grouped by level, and two groups are multiplied only when their
-        levels sum into range.  Both orders of da, db share one memo key."""
-        da, db = sorted((tuple(sorted(da)), tuple(sorted(db))))
-        out = self._maps.get((da, db, lo, hi))
-        if out is None:
-            out = self._maps[(da, db, lo, hi)] = {}
-            ga, gb = ({}, {})
-            for group, ds in ((ga, da), (gb, db)):
-                for key, c in self.deriv(ds).items():
-                    group.setdefault(2 * key[0] + len(key[1]), {})[key] = c
-            for la, ta in ga.items():
-                for lb, tb in gb.items():
-                    if lo <= la + lb <= hi:
-                        add_terms(out, mul_terms(ta, tb, _times).items())
+        levels sum into range.  Built on each call and not kept: a product map
+        is seldom asked for twice."""
+        out: Terms = {}
+        ga, gb = ({}, {})
+        for group, ds in ((ga, da), (gb, db)):
+            for key, c in self.deriv(ds).items():
+                group.setdefault(2 * key[0] + len(key[1]), {})[key] = c
+        for la, ta in ga.items():
+            for lb, tb in gb.items():
+                if lo <= la + lb <= hi:
+                    add_terms(out, mul_terms(ta, tb, _times).items())
         return out
 
     @staticmethod
@@ -303,7 +302,7 @@ def genus1_closed_form(shift: Mapping[int, Fraction], t_max: int, deg: int) -> d
         """sum_k coeff(k) y^k / k!"""
         out, ypow = {}, {(): Fraction(1)}
         for k in range(0, kmax):
-            add_terms(out, ((key, c / fact(k)) for key, c in times(coeff(k), ypow).items()))
+            add_terms(out, ((key, c / factorial(k)) for key, c in times(coeff(k), ypow).items()))
             ypow = times(ypow, y)
             if not ypow:
                 break

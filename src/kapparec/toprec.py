@@ -23,24 +23,24 @@ slots and compares the copies exactly.
 The curve's y is the one ZSeries the engine reads.  The recursion runs in
 an integer core at eps = 1 (IntSeries), from the lowered y to the
 read-off: slices, W and 1/(2 eta) are integer numerators over one shared
-denominator, and 1/(2 eta) is inverted there.  A key packs the z-exponent
-with an h-monomial (the curve's HPacking), and products drop the monomials
-over the h-weight cap; on a curve whose y has no h (kw, k, j, bgw, kstar)
-the packing is empty and a key is just the exponent, while weak-k and
-weak-j carry formal h_i.  eps comes back from a grading
-(SpectralCurve.eps_weight): y is quasi-homogeneous of degree -1 under
-z -> l z, eps -> l^2 eps, h_i -> l^(-2i) h_i, so the term h^alpha of the
-entry at k of w_{g,n} carries eps^(sum(k)-g+1+hweight(alpha)); kw, bgw and
-kstar have no eps.
+denominator, and every product among them is IntSeries.mul or
+sum_of_products.  A key packs the z-exponent with an h-monomial (the
+curve's HPacking), and products drop the monomials over the h-weight cap;
+on a curve whose y has no h (kw, k, j, bgw, kstar) the packing is empty
+and a key is just the exponent, while weak-k and weak-j carry formal h_i.
+eps comes back from a grading (SpectralCurve.eps_weight): y is
+quasi-homogeneous of degree -1 under z -> l z, eps -> l^2 eps,
+h_i -> l^(-2i) h_i, so the term h^alpha of the entry at k of w_{g,n}
+carries eps^(sum(k)-g+1+hweight(alpha)); kw, bgw and kstar have no eps.
 
 A Correlator stores each entry only in that integer form (a Form): a
 positive denominator and (packed h-key, numerator) pairs sorted by key,
 reduced to gcd(den, numerators) = 1, so equal entries have equal forms.
 Slices and diagonals are pushed from these forms, with no key probed: one
 pass over a table's entries gives all of its slices, and one pass over
-w_{g-1,n+1} all the diagonals of the level (g, n).  The read-off multiplies
-W by 1/(2 eta) only up to the poles it needs and groups them straight into
-Forms.  The ParamPoly of an entry (eps restored, Fraction coefficients) is
+w_{g-1,n+1} all the diagonals of the level (g, n); the lowered y is built
+by the same lcm sum (_series).  The read-off is IntSeries.mul of W by
+1/(2 eta) up to the poles it needs, grouped straight into Forms.  The ParamPoly of an entry (eps restored, Fraction coefficients) is
 a view, built whenever a caller reads it and never kept.
 
 Computed correlators are immutable and the per-engine table is append-only
@@ -56,7 +56,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .coeffs import htilde_weak
-from .intseries import HPacking, IntSeries, _kept
+from .intseries import HPacking, IntSeries
 from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, hweight
 from .rationals import odd_df
@@ -110,12 +110,12 @@ class SpectralCurve:
         """f*s at eps = 1 in the integer core, without its terms over the
         h-weight cap."""
         pack = self.pack
-        return IntSeries.from_terms(
-            (((j << pack.zshift) | key, c, f)
-             for j, v in s.coeffs.items()
-             for (_, h), c in v.terms.items()
-             if (key := pack.pack(h)) is not None),
-            pack, s.order)
+        out = _series(pack, [(j, (c.denominator, ((key, c.numerator),)), f)
+                             for j, v in s.coeffs.items()
+                             for (_, h), c in v.terms.items()
+                             if (key := pack.pack(h)) is not None]) or IntSeries({}, 1, pack)
+        out.order = s.order
+        return out
 
     def two_eta(self) -> IntSeries:
         return self.lower(self.y.shift(1), 2)  # eta/dz = z y
@@ -380,23 +380,13 @@ class Engine:
         w = self._assemble_w(g, n, rest, level)
         if w.is_zero():
             return {}
-        inv, pack = self.curve.inv2eta(), self.curve.pack
-        zs = pack.zshift
-        order = inv.order + (min(w.coeffs) >> zs)  # IntSeries.mul's; W is exact
-        if order <= hi:
-            raise InsufficientOrderError(f"product order {order} < required {hi + 1} at (g, n) = ({g}, {n})")
-        top = (hi + 1) << zs
-        out: dict[int, int] = {}
-        get = out.get
-        inv_terms = inv.coeffs.items()  # by increasing key: see SpectralCurve.inv2eta
-        for j2, c2 in w.coeffs.items():
-            for j1, c1 in inv_terms:
-                if j1 + j2 >= top:
-                    break
-                out[j1 + j2] = get(j1 + j2, 0) + c1 * c2
+        prod = w.mul(self.curve.inv2eta(), hi)  # W is exact: the order is 1/(2 eta)'s
+        if prod.order <= hi:
+            raise InsufficientOrderError(f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})")
+        zs = self.curve.pack.zshift
         poles: dict[int, list[tuple[int, int]]] = {}
-        hmask, den = (1 << zs) - 1, inv.den * w.den
-        for key, c in _kept(out, pack).items():
+        hmask, den = (1 << zs) - 1, prod.den
+        for key, c in prod.coeffs.items():
             poles.setdefault(-(key >> zs) // 2 - 1, []).append((key & hmask, c))
         forms = {}
         for k1, pairs in poles.items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction as F
+from math import factorial
 
 from kapparec.coeffs import h_star, htilde_weak
 from kapparec.epsilonlab import (
@@ -22,7 +23,7 @@ from kapparec.epsilonlab import (
 from kapparec.hurwitz import hurwitz_three_ways, pvec
 from kapparec.kappapoly import j_polys, k_polys, partitions
 from kapparec.parampoly import ParamPoly
-from kapparec.rationals import fact, odd_df
+from kapparec.rationals import odd_df
 from kapparec.tautools import (
     Potential,
     bgw_bootstrap,
@@ -207,7 +208,7 @@ def test_criterion_07_fj_limit(j_engine):
     lim = take_limit_one_point(j_engine, 7)
     ok = True
     for g in range(1, 8):
-        want = fact(g - 1) * bernoulli(2 * g) / (fact(2 * g) * 2**g)
+        want = factorial(g - 1) * bernoulli(2 * g) / (factorial(2 * g) * 2**g)
         ok &= lim[g].get(g - 1, ParamPoly.zero()).as_fraction() == want
         ok &= set(lim[g]) == {g - 1}
     displayed = [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -18,7 +19,7 @@ from kapparec.coeffs import (
     s_sequence,
     sigma_sequence,
 )
-from kapparec.rationals import fact, odd_df
+from kapparec.rationals import odd_df
 
 
 def test_named_sequences():
@@ -30,7 +31,7 @@ def test_named_sequences():
 def test_defining_series_are_the_double_factorials():
     # the alternating product series specialize to k!, (2k+1)!!, (2k-1)!!
     for (a, b), vals in (
-        ((1, 1), [fact(k) for k in range(6)]),
+        ((1, 1), [factorial(k) for k in range(6)]),
         ((3, 2), [odd_df(k) for k in range(6)]),
         ((1, 2), [odd_df(k - 1) for k in range(6)]),
     ):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -17,7 +18,6 @@ from kapparec.epsilonlab import (
 )
 from kapparec.kappapoly import KappaPoly, k_polys
 from kapparec.parampoly import ParamPoly
-from kapparec.rationals import fact
 
 from conftest import bernoulli
 
@@ -61,7 +61,7 @@ def test_take_limit_j_values(j_engine):
     # linear coefficients follow (g-1)! B_{2g} / ((2g)! 2^g)
     for g in (1, 2, 3):
         got = lim[(g, (g - 1,))].as_fraction()
-        assert got == fact(g - 1) * bernoulli(2 * g) / (fact(2 * g) * 2**g)
+        assert got == factorial(g - 1) * bernoulli(2 * g) / (factorial(2 * g) * 2**g)
     assert lim[(2, (1,))].as_fraction() == F(-1, 2880)
     # no t-degree >= 2 monomials survive the limit
     assert all(len(mono) == 1 for (_, mono) in lim)
@@ -70,8 +70,8 @@ def test_take_limit_j_values(j_engine):
 def test_take_limit_one_point_chain(j_engine):
     lim = take_limit_one_point(j_engine, 5)
     for g in (4, 5):
-        assert lim[g][g - 1].as_fraction() == fact(g - 1) * bernoulli(2 * g) / (
-            fact(2 * g) * 2**g
+        assert lim[g][g - 1].as_fraction() == factorial(g - 1) * bernoulli(2 * g) / (
+            factorial(2 * g) * 2**g
         )
         assert set(lim[g]) == {g - 1}
 

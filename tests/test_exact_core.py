@@ -8,7 +8,7 @@ import pytest
 from kapparec.coeffs import exp_coeffs, s_sequence
 from kapparec.intseries import HPacking, IntSeries
 from kapparec.kappapoly import KappaPoly
-from kapparec.parampoly import ParamPoly
+from kapparec.parampoly import ParamPoly, hweight
 from kapparec.rationals import odd_df, rat_parse, rat_str
 from kapparec.zseries import TruncationError, ZSeries, series_invert
 
@@ -222,6 +222,42 @@ def test_intseries_truncation_order_is_provable_random(pack):
         _int_agrees_below_order(u.invert(), u_long.invert(), n1 - 2 * b1)
         one = u.mul(u.invert())
         assert one.order == n1 - b1 and one.items() == [(0, 1)]
+
+
+@pytest.mark.parametrize("pack", [HPacking(0, 0), HPacking(2, 3), HPacking(2, 400, False)],
+                         ids=["no-h", "cap3", "uncapped"])
+def test_intseries_exact_product_is_the_sum_over_every_term_pair(pack):
+    # exact operands (order None), empty ones among them, against the pair
+    # sum over (z-exponent, h-tuple) terms with the h-weights over the cap dropped
+    rng = random.Random(20261020)
+    zs, hmask = pack.zshift, (1 << pack.zshift) - 1
+
+    def rand_terms():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            h = tuple(rng.randint(0, 1) for _ in pack.fields)
+            terms[(rng.randint(-3, 3), h)] = rng.choice((-3, -1, 2, 5))
+        return terms
+
+    empties = 0
+    for _ in range(40):
+        ta, tb = rand_terms(), rand_terms()
+        da, db = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = (IntSeries({(j << zs) | pack.pack(h): c for (j, h), c in t.items()}, d, pack)
+                for t, d in ((ta, da), (tb, db)))
+        want: dict = {}
+        for (j1, h1), c1 in ta.items():
+            for (j2, h2), c2 in tb.items():
+                h = tuple(x + y for x, y in zip(h1, h2))
+                if hweight(h) <= pack.cap:
+                    key = (j1 + j2, pack.unpack(pack.pack(h)))
+                    want[key] = want.get(key, 0) + F(c1 * c2, da * db)
+        got = a.mul(b)
+        assert got.order is None and got.den == da * db
+        assert {(k >> zs, pack.unpack(k & hmask)): v for k, v in got.items()} == {
+            k: v for k, v in want.items() if v}
+        empties += not ta or not tb
+    assert empties
 
 
 def test_series_invert_geometric():

@@ -25,7 +25,7 @@ from kapparec.kappapoly import (
     shift_coeffs,
 )
 from kapparec.parampoly import ParamPoly
-from kapparec.rationals import fact, odd_df
+from kapparec.rationals import odd_df
 
 # the displayed low-degree family polynomials, as exact coefficient vectors
 K_GOLDEN = {
@@ -149,7 +149,7 @@ def graded_product(ell, m_max):
         power = F(1)
         for j in range(1, m_max // i + 1):
             power *= F(ell[i - 1])
-            factor = KappaPoly({((i,) * j, ()): power / fact(j)})
+            factor = KappaPoly({((i,) * j, ()): power / factorial(j)})
             for m in range(m_max - i * j + 1):
                 updated[m + i * j] = updated[m + i * j] + pieces[m] * factor
         pieces = updated
@@ -229,6 +229,38 @@ def test_substitution_examples():
     assert back == J2
 
 
+def test_kappa_zero_is_the_scalar_the_oracle_reads():
+    # kappa_0 is 2g-2+n on the (g, n) space, so a KappaPoly keeps its 0 parts
+    # and integrates them as the oracle's kappa_psi_number does; the
+    # substitution sends kappa_0 to kappa_0 - 1 = pi^* kappa_0, so the dilaton
+    # equation <pi^*(P) psi_new>_{g,n+1} = (2g-2+n) <P>_{g,n} holds for them
+    oracle = IntersectionOracle()
+    assert oracle.integrate(KappaPoly({((1, 0), ()): 1}), 0, 4) == 2
+    assert oracle.kappa_psi_number(0, 4, (0, 0, 0, 0), (1, 0)) == 2
+    assert kappa_substitute_pullback(KappaPoly.kappa(0)) == KappaPoly(
+        {((0,), (0,)): F(1), ((), (0,)): F(-1)}, 1
+    )
+    cases = 0
+    for g, n in ((0, 4), (0, 5), (1, 1), (1, 2), (2, 1)):
+        chi, dim = 2 * g - 2 + n, 3 * g - 3 + n
+        psi_new = KappaPoly({((), (0,) * n + (1,)): F(1)}, n + 1)
+        for w in range(dim + 1):
+            psis = (dim - w,) + (0,) * (n - 1)
+            for lam in partitions(w):
+                plain = oracle.integrate(KappaPoly({(lam, psis): F(1)}, n), g, n)
+                for zeros in (1, 2):
+                    P = KappaPoly({(lam + (0,) * zeros, psis): F(1)}, n)
+                    got = oracle.integrate(P, g, n)
+                    assert got == oracle.kappa_psi_number(g, n, tuple(sorted(psis)), lam + (0,) * zeros)
+                    assert got == chi**zeros * plain, (g, n, lam, zeros)
+                    lhs = oracle.integrate(kappa_substitute_pullback(P) * psi_new, g, n + 1)
+                    assert lhs == chi * got, (g, n, lam, zeros)
+                    cases += 1
+    assert cases == 48
+    with pytest.raises(ValueError, match="non-negative"):
+        KappaPoly({((1, -1), ()): 1})
+
+
 
 def substitute_by_multiplicity(P):
     """kappa_j -> kappa_j - psi_new^j with each distinct part v of
@@ -292,7 +324,7 @@ def test_shift_coeffs():
     d = shift_coeffs("j", 2, -1, 5)
     want = ParamPoly.zero()
     for i in range(5):
-        want = want + ParamPoly.eps(i, F((-1) ** i, fact(i)))
+        want = want + ParamPoly.eps(i, F((-1) ** i, factorial(i)))
     assert d == want
     # k + chi = 0 gives the constant 1 for both families
     assert shift_coeffs("k", 1, -1, 6) == ParamPoly.one()

@@ -388,6 +388,27 @@ def test_a_short_y_is_caught_by_the_product_order_guard():
         eng.correlator(2, 1)
 
 
+def test_the_product_order_guard_is_sound_on_exact_curves():
+    # kw and bgw have an exact y, so the curve-order precheck is skipped and
+    # the read-off's product-order guard is the only order check: at every
+    # curve order below the required one, a correlator is either refused by
+    # that guard or equal to the one at the required order
+    accepted = refused = 0
+    for family in ("kw", "bgw"):
+        for g, n in levels(6):
+            want = Engine(build_curve(family, required_order(g, n))).correlator(g, n).forms
+            for order in range(2, required_order(g, n)):
+                try:
+                    got = Engine(build_curve(family, order)).correlator(g, n).forms
+                except InsufficientOrderError as e:
+                    assert "product order" in str(e), (family, g, n, order)
+                    refused += 1
+                else:
+                    assert got == want, (family, g, n, order)
+                    accepted += 1
+    assert (accepted, refused) == (257, 107)
+
+
 def _two_eta(curve: SpectralCurve) -> ZSeries:
     """2 eta/dz = 2 z y(z), the series the reference inverts."""
     eta = curve.y.shift(1)
