@@ -8,6 +8,7 @@ non-vanishing pairing with a class of degree beyond 2g-2+n.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .intersect import IntersectionOracle
@@ -119,7 +120,9 @@ def verify_vanishing(oracle: IntersectionOracle, g: int, n: int, m: int, style: 
     """Weak vanishing of the degree-m family polynomial on (g, n).
 
     Pairs the polynomial against every psi-kappa monomial of complementary
-    degree; (g, n, m) must be admissible for the style.
+    degree; (g, n, m) must be admissible for the style.  Each pairing is
+    summed as one integer numerator over a running lcm of the term
+    denominators, and it vanishes exactly when that numerator is 0.
     """
     if not admissible(style, g, n, m):
         raise ValueError(f"inadmissible (g, n, m) for the {style.upper()}-style claim")
@@ -128,13 +131,17 @@ def verify_vanishing(oracle: IntersectionOracle, g: int, n: int, m: int, style: 
     if m > dim:
         return True
     comp = dim - m
+    terms = [(p, c.numerator, c.denominator) for (p, _), c in fam.terms.items()]
     for psis, lam in complementary_monomials(g, n, comp):
-        total = Fraction(0)
-        for (p, _), c in fam.terms.items():
-            total += c * oracle.kappa_psi_number(
-                g, n, psis, tuple(sorted(p + lam, reverse=True))
-            )
-        if total:
+        num, den = 0, 1
+        for p, cn, cd in terms:
+            v = oracle.kappa_psi_number(g, n, psis, tuple(sorted(p + lam, reverse=True)))
+            if v:
+                d = cd * v.denominator
+                common = lcm(den, d)
+                num = num * (common // den) + cn * v.numerator * (common // d)
+                den = common
+        if num:
             return False
     return True
 

@@ -47,7 +47,9 @@ expansion (kclass_psi)
 with W the complementary weight forced by the dimension; the two routes
 share only the psi numbers.  All values are cached, optionally on disk;
 results are pure functions of the key, so concurrent readers only need
-writes to the cache serialized.
+writes to the cache serialized.  The memo of the N is keyed by the sorted
+exponent tuple alone: every key the recursion asks for is on dimension, and
+sum(d) = 3g-3+n fixes g.  Disk-cache keys still carry g.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import json
 import os
 import re
 import tempfile
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -67,7 +70,6 @@ from .kappapoly import (
     aut,
     cached_multiset_splits,
     insert_sorted,
-    multiplicities,
     partitions,
     signed_block_keys,
 )
@@ -213,7 +215,7 @@ class Cache:
 class IntersectionOracle:
     def __init__(self, cache: Cache | None = None):
         self.cache = cache
-        self._kw: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._kw: dict[tuple[int, ...], int] = {}  # N by sorted on-dimension key
         self._kpsi: dict[tuple[int, tuple[int, ...], Partition], Fraction] = {}
 
     # -- pure psi numbers ----------------------------------------------------
@@ -227,12 +229,14 @@ class IntersectionOracle:
         return Fraction(self._normalized(g, ds), _scale(g, ds))
 
     def _normalized(self, g: int, ds: tuple[int, ...]) -> int:
-        """N(g, ds) of a sorted on-dimension key; 0 when (g, n) is unstable."""
+        """N(g, ds) of a sorted on-dimension key; 0 when (g, n) is unstable.
+
+        The memo is keyed by ds alone: on dimension, sum(ds) = 3g-3+n fixes
+        g, so no lookup builds a (g, ds) pair.  The cache keys carry g."""
         n = len(ds)
         if g < 0 or 2 * g - 2 + n <= 0:
             return 0
-        key = (g, ds)
-        hit = self._kw.get(key)
+        hit = self._kw.get(ds)
         if hit is not None:
             return hit
         if self.cache is not None:
@@ -241,21 +245,25 @@ class IntersectionOracle:
                 c *= _scale(g, ds)
                 if c.denominator != 1:
                     raise ValueError(f"cache entry {_key_str(g, ds, ())} is not a psi number")
-                self._kw[key] = c.numerator
+                self._kw[ds] = c.numerator
                 return c.numerator
         rest = ds[1:]
         if ds[0] == 1 and 2 * g - 3 + n > 0:  # dilaton
             val = 24 * (2 * g - 3 + n) * self._normalized(g, rest)
         elif ds[0] == 0 and 2 * g - 3 + n > 0:  # string
+            # each distinct v > 0 of rest, at its first slot i and multiplicity j - i;
+            # lowering that slot keeps the key sorted
             val = 0
-            for v, m in multiplicities(rest).items():
-                if v:
-                    i = rest.index(v)
-                    val += m * (2 * v + 1) * self._normalized(g, rest[:i] + (v - 1,) + rest[i + 1 :])
+            i, end = bisect_right(rest, 0), len(rest)
+            while i < end:
+                v = rest[i]
+                j = bisect_right(rest, v, i)
+                val += (j - i) * (2 * v + 1) * self._normalized(g, rest[:i] + (v - 1,) + rest[i + 1 :])
+                i = j
             val *= 8
         else:
             val = self._dvv(g, ds)
-        self._kw[key] = val
+        self._kw[ds] = val
         if self.cache is not None:
             self.cache.put(g, ds, (), Fraction(val, _scale(g, ds)))
         return val
@@ -265,28 +273,38 @@ class IntersectionOracle:
         k1, mu = ds[-1], ds[:-1]
         kw = self._kw
         merged = 0
-        for v, m in multiplicities(mu).items():
+        # each distinct v of mu, at its first slot i and multiplicity j - i
+        i, end = 0, len(mu)
+        while i < end:
+            v = mu[i]
+            j = bisect_right(mu, v, i)
             if k1 + v:
-                i = mu.index(v)
-                merged += m * (2 * v + 1) * self._normalized(g, insert_sorted(mu[:i] + mu[i + 1 :], k1 + v - 1))
+                merged += (j - i) * (2 * v + 1) * self._normalized(g, insert_sorted(mu[:i] + mu[i + 1 :], k1 + v - 1))
+            i = j
         half = (k1 - 2) // 2
         quadratic = 0
         # memo hits are read without the call; `or` falls through on a miss (or a stored 0)
         for a in range(half + 1):
-            key = insert_sorted(insert_sorted(mu, a), k1 - 2 - a)
-            v = kw.get((g - 1, key)) or self._normalized(g - 1, key)
-            quadratic += v if 2 * a == k1 - 2 else 2 * v
+            b = k1 - 2 - a  # a <= b, so b goes in at or past a's slot
+            i = bisect_right(mu, a)
+            j = bisect_right(mu, b, i)
+            key = mu[:i] + (a,) + mu[i:j] + (b,) + mu[j:]
+            v = kw.get(key) or self._normalized(g - 1, key)
+            quadratic += v if a == b else 2 * v
         for alpha, beta, ways in cached_multiset_splits(mu):
             # N(g1; a, alpha) is on dimension at a = 3 g1 - s, and 0 <= g1 <= g
             s = sum(alpha) + 2 - len(alpha)
             for a in range(max(-s, -s % 3), min(half, 3 * g - s) + 1, 3):
                 g1 = (a + s) // 3
-                key = insert_sorted(alpha, a)
-                v1 = kw.get((g1, key)) or self._normalized(g1, key)
+                i = bisect_right(alpha, a)
+                key = alpha[:i] + (a,) + alpha[i:]
+                v1 = kw.get(key) or self._normalized(g1, key)
                 if v1:
-                    key = insert_sorted(beta, k1 - 2 - a)
-                    v2 = kw.get((g - g1, key)) or self._normalized(g - g1, key)
-                    quadratic += (ways if 2 * a == k1 - 2 else 2 * ways) * v1 * v2
+                    b = k1 - 2 - a
+                    i = bisect_right(beta, b)
+                    key = beta[:i] + (b,) + beta[i:]
+                    v2 = kw.get(key) or self._normalized(g - g1, key)
+                    quadratic += (ways if a == b else 2 * ways) * v1 * v2
         base = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0
         return 8 * merged + 4 * quadratic + base
 
@@ -348,7 +366,7 @@ class IntersectionOracle:
         num = 0
         for merged, c in terms:
             ds = tuple(sorted(psis + merged))
-            num += c * (self._kw.get((g, ds)) or self._normalized(g, ds))
+            num += c * (self._kw.get(ds) or self._normalized(g, ds))
         val = Fraction(num, _scale(g, psis) * d)
         self._kpsi[key] = val
         if self.cache is not None:

@@ -138,17 +138,21 @@ class IntSeries:
 
     def mul(self, other: "IntSeries", hi: int | None = None) -> "IntSeries":
         """Exact truncated product, with the provable order of ZSeries.mul:
-        min(N1+b2, N2+b1), capped at hi+1 when hi is given."""
+        min(N1+b2, N2+b1), capped at hi+1 when hi is given.  An empty O(z^N)
+        operand has b = N, and an exactly-zero one gives the exact zero."""
         a, b = self.coeffs, other.coeffs
+        den = self.den * other.den
+        if (not a and self.order is None) or (not b and other.order is None):
+            return IntSeries({}, den, self.pack)
         zs = self.pack.zshift
         order = _min_order(
-            None if self.order is None else self.order + (min(b) >> zs),
-            None if other.order is None else other.order + (min(a) >> zs),
+            None if self.order is None else self.order + (min(b) >> zs if b else other.order),
+            None if other.order is None else other.order + (min(a) >> zs if a else self.order),
         )
         if hi is not None:
             order = _min_order(order, hi + 1)
         # an exact product stops past its largest key; an empty operand runs no loop
-        top = order << zs if order is not None else max(a) + max(b) + 1 if a and b else 0
+        top = order << zs if order is not None else max(a) + max(b) + 1
         out: dict[int, int] = {}
         get = out.get
         bs = sorted(b.items())
@@ -158,7 +162,7 @@ class IntSeries:
                 if j >= top:
                     break
                 out[j] = get(j, 0) + c1 * c2
-        return IntSeries(_kept(out, self.pack), self.den * other.den, self.pack, order)
+        return IntSeries(_kept(out, self.pack), den, self.pack, order)
 
     def invert(self, out_order: int | None = None) -> "IntSeries":
         """Multiplicative inverse, reduced, with the provable order and the

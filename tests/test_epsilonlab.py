@@ -118,6 +118,26 @@ def test_verify_vanishing_ranges(oracle):
         verify_vanishing(oracle, 2, 1, 4, "x")
 
 
+def test_vanishing_pairing_cancels_exactly_across_denominators():
+    # (2, 1, 4) in K style has the one complementary monomial psi^0 kappa^();
+    # the stub's values make the five terms c * v read 1/3, 1/6, -1/2, 2/7, -2/7
+    fam = k_polys(4)[4].terms
+    parts = [F(1, 3), F(1, 6), F(-1, 2), F(2, 7), F(-2, 7)]
+    values = {p: t / c for ((p, _), c), t in zip(fam.items(), parts)}
+    assert len(values) == 5 and len({v.denominator for v in values.values()}) == 5
+
+    class Stub:
+        def kappa_psi_number(self, g, n, psis, lam):
+            assert (g, n, tuple(psis)) == (2, 1, (0,))
+            return values[lam]
+
+    assert verify_vanishing(Stub(), 2, 1, 4, "k")
+    for p, v in list(values.items()):
+        values[p] = v + F(1, v.denominator)
+        assert not verify_vanishing(Stub(), 2, 1, 4, "k"), p
+        values[p] = v
+
+
 def test_complementary_monomials_cover():
     mons = list(complementary_monomials(2, 1, 2))
     assert ((0,), (2,)) in mons and ((0,), (1, 1)) in mons

@@ -260,6 +260,24 @@ def test_intseries_exact_product_is_the_sum_over_every_term_pair(pack):
     assert empties
 
 
+def test_intseries_product_with_an_empty_operand():
+    # an empty O(z^N) operand enters the order formula with lowest exponent N;
+    # an exactly-zero operand gives the exact empty product
+    pack = HPacking(0, 0)
+    one, empty3 = IntSeries({0: 1}, 1, pack, 3), IntSeries({}, 1, pack, 3)
+    for a, b, order in ((empty3, one, 3), (one, empty3, 3), (empty3, IntSeries({}, 2, pack, 2), 5),
+                        (IntSeries({}, 1, pack, 4), IntSeries({-1: 5}, 1, pack, 6), 3)):
+        got = a.mul(b)
+        assert (got.coeffs, got.order, got.den) == ({}, order, a.den * b.den)
+        got = a.mul(b, 1)
+        assert (got.coeffs, got.order) == ({}, 2)
+    zero = IntSeries({}, 3, pack)
+    for a, b in ((zero, one), (one, zero), (zero, zero), (zero, empty3), (empty3, zero)):
+        for hi in (None, 1):
+            got = a.mul(b, hi)
+            assert (got.coeffs, got.order, got.den) == ({}, None, a.den * b.den)
+
+
 def test_series_invert_geometric():
     s = ZSeries({0: 1, 1: 1}, order=8)
     inv = series_invert(s)

@@ -263,6 +263,29 @@ def test_kappa_psi_numbers_match_pinned_digest():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KAPPA_PSI_DIGEST
 
 
+# sha256 of the sorted "g;ds=value" lines of every psi number that the
+# one-point ladder kw_number(g, (3g-2,)), g = 6..10, computes on a cold oracle,
+# as the oracle computed them with its memo keyed by (g, ds)
+LADDER_PSI_DIGEST = "8c633d43873a7ea9f6cd2832b65e59dbe350dac8f25377138c2cc0236e2fa91c"
+
+
+def test_ladder_psi_numbers_match_pinned_digest():
+    # the cache sees every psi number the recursion computes, keyed with its genus
+    o = IntersectionOracle(Cache())
+    for g in range(6, 11):
+        o.kw_number(g, (3 * g - 2,))
+    items = sorted((g, ds, v) for (g, ds, lam), v in o.cache.data.items())
+    assert len(items) == 779
+    lines = [f"{g};{','.join(map(str, ds))}={rat_str(v)}" for g, ds, v in items]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LADDER_PSI_DIGEST
+    # the memo is keyed by the sorted key alone, which fixes the genus on dimension
+    assert len(o._kw) == len(items)
+    for ds in o._kw:
+        g, r = divmod(sum(ds) - len(ds) + 3, 3)
+        assert list(ds) == sorted(ds) and r == 0 and g >= 0, ds
+        assert F(o._kw[ds], _scale(g, ds)) == o.kw_number(g, ds), ds
+
+
 def test_integrate_linearity_and_families(oracle):
     J1 = j_polys(1)[1]
     K1 = k_polys(1)[1]
