@@ -346,6 +346,8 @@ def cmd_cache(args) -> int:
     path = args.cache or os.environ.get(CACHE_ENV)
     if not path:
         raise UsageError("no cache path: pass --cache or set KAPPAREC_CACHE")
+    if args.action != "import" and not os.path.exists(path):
+        raise UsageError(f"no such cache file {path}")
     cache = _open_cache(path)
     if args.action == "stats":
         _emit(args, cache.stats())

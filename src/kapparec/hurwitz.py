@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from .intersect import IntersectionOracle
-from .kappapoly import aut
+from .kappapoly import aut, insert_sorted
 from .rationals import odd_df
 from .toprec import Correlator, Engine
 
@@ -62,17 +62,12 @@ def brute_force(
     m = transposition_count(g, partition)
     if d < 1 or any(k < 1 for k in partition):
         raise ValueError("partition parts must be positive")
-    if m < 0:
-        return Fraction(0)
+    if g < 0:
+        raise ValueError("genus must be non-negative")
     if d > d_max or m > m_max:
         raise BudgetError(
             f"need d <= {d}, m <= {m}; configured budget is d <= {d_max}, m <= {m_max}"
         )
-    automorphisms = aut(partition)
-    if d == 1:
-        return Fraction(1 if m == 0 else 0)
-    if m == 0:
-        return Fraction(automorphisms if partition == (1,) * d else 0, factorial(d))
 
     # a component is labelled by its smallest point, so one component reads (0,) * d
     states = {(1, tuple(range(d)), tuple(range(d))): 1}
@@ -100,7 +95,7 @@ def brute_force(
         for (_, perm, labels), c in states.items()
         if labels == connected and _cycle_type(perm) == partition
     )
-    return Fraction(count * automorphisms, factorial(d))
+    return Fraction(count * aut(partition), factorial(d))
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,29 +147,23 @@ def pvec(oracle: IntersectionOracle, g: int, args: Sequence[Fraction]) -> Fracti
 def _slot_sum(n: int, dim: int, value: Callable[[tuple[int, ...]], Fraction],
               factor: Callable[[int, int], Fraction]) -> Fraction:
     """sum of value(sorted(e)) * prod_i factor(i, e_i) over the n-tuples e of
-    non-negative ints with sum(e) <= dim.  value is read once per sorted key,
-    and not at all where the product of factors vanishes."""
-    table = [[factor(i, e) for e in range(dim + 1)] for i in range(n)]
-    values: dict[tuple[int, ...], Fraction] = {}
-    total = Fraction(0)
-    for exps in _all_tuples(n, dim):
-        coeff = prod(row[e] for row, e in zip(table, exps))
-        if coeff:
-            key = tuple(sorted(exps))
-            v = values.get(key)
-            if v is None:
-                v = values[key] = value(key)
-            total += coeff * v
-    return total
-
-
-def _all_tuples(n: int, total_max: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(total_max + 1):
-        for rest in _all_tuples(n - 1, total_max - head):
-            yield (head,) + rest
+    non-negative ints with sum(e) <= dim.  A dynamic program over sorted keys:
+    slot by slot, each key's summed factor product is extended by every
+    exponent with a nonzero factor that still fits under dim.  value is read
+    once per key whose summed product is nonzero."""
+    acc: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for i in range(n):
+        row = [(e, f) for e in range(dim + 1) if (f := factor(i, e))]
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for key, c in acc.items():
+            room = dim - sum(key)
+            for e, f in row:
+                if e > room:
+                    break
+                k = insert_sorted(key, e)
+                nxt[k] = nxt.get(k, 0) + c * f
+        acc = nxt
+    return sum((c * value(key) for key, c in acc.items() if c), Fraction(0))
 
 
 def elsv_value(oracle: IntersectionOracle, g: int, partition: Sequence[int]) -> Fraction:

@@ -143,6 +143,14 @@ def test_cache_import_of_a_missing_file_is_usage_error(capsys, tmp_path):
     assert not cpath.exists()
 
 
+def test_cache_actions_on_a_missing_file_are_usage_errors(capsys, tmp_path):
+    missing, out = tmp_path / "missing.json", tmp_path / "out.json"
+    for action in ("verify", "stats", "export"):
+        code, stdout, err = run(capsys, ["cache", "--action", action, "--cache", str(missing), "--out", str(out)])
+        assert code == 2 and stdout == "" and str(missing) in err, action
+    assert not missing.exists() and not out.exists()
+
+
 def test_cache_import_accepts_an_equal_value_in_another_form(capsys, tmp_path):
     cpath, inp = tmp_path / "cache.json", tmp_path / "in.json"
     for path, value in ((cpath, "1/24"), (inp, "2/48")):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
 from kapparec.hurwitz import (
     BudgetError,
+    _slot_sum,
     brute_force,
     elsv_value,
     expand_at_one,
@@ -17,6 +20,7 @@ from kapparec.hurwitz import (
     x_coeff,
 )
 from kapparec.kappapoly import partitions
+from kapparec.toprec import Engine, build_curve, required_order
 
 
 def test_brute_force_goldens():
@@ -27,6 +31,12 @@ def test_brute_force_goldens():
     # at equal b), i.e. two factorizations per fixed 3-cycle: 4/3! = 2/3
     assert brute_force(0, (3,)) == F(2, 3)
     assert transposition_count(1, (2,)) == 3
+
+
+def test_brute_force_refuses_negative_genus():
+    with pytest.raises(ValueError, match="genus"):
+        brute_force(-1, (1, 1))
+    assert brute_force(0, (1,)) == 1
 
 
 def test_brute_force_budget():
@@ -186,3 +196,38 @@ def test_triple_agreement_small(oracle, kstar_engine):
             assert len(vals) == 1, (g, part, r)
             checked += d >= 5
     assert checked == 29
+
+
+def _slot_sum_ordered(n, dim, value, factor):
+    # the definition: every ordered exponent n-tuple with sum <= dim
+    return sum(
+        (value(tuple(sorted(e))) * prod(factor(i, x) for i, x in enumerate(e))
+         for e in itertools.product(range(dim + 1), repeat=n) if sum(e) <= dim),
+        F(0),
+    )
+
+
+def test_slot_sum_matches_the_ordered_tuple_walk():
+    rng = random.Random(20211222)
+    pool = [F(0), F(0), F(1), F(-1, 2), F(-3, 2), F(2, 3), F(5)]
+    for n in range(6):
+        for dim in range(7):
+            table = [[rng.choice(pool) for _ in range(dim + 1)] for _ in range(n)]
+            weights = {}
+            reads = []
+
+            def value(key):
+                reads.append(key)
+                return weights.setdefault(key, F(rng.randint(-9, 9), rng.randint(1, 5)))
+
+            got = _slot_sum(n, dim, value, lambda i, e: table[i][e])
+            assert len(reads) == len(set(reads)), (n, dim)
+            assert got == _slot_sum_ordered(n, dim, value, lambda i, e: table[i][e]), (n, dim)
+
+
+def test_routes_past_brute_force(oracle):
+    eng = Engine(build_curve("kstar", required_order(2, 8)))
+    r = hurwitz_three_ways(oracle, eng, 2, (1,) * 8)
+    assert r == {"expand": 5502280734720, "elsv": 5502280734720, "brute": None}
+    r = hurwitz_three_ways(oracle, eng, 1, (2, 2, 2, 1, 1))
+    assert r == {"expand": 29121984, "elsv": 29121984, "brute": None}
