@@ -289,10 +289,12 @@ def cmd_verify(args) -> int:
             checks += n
     except (BudgetError, InsufficientOrderError) as exc:
         raise UsageError(f"infeasible budget: {exc}") from exc
-    # a clamped request goes to stderr, so the pretty report stays the same
+    # a clamped request goes to stderr, so the pretty report stays the same;
+    # both numbers are in --epsilon-budget units (every cap is at least its offset)
     if budget < want and args.format == "pretty":
         print(
-            f"note: suite {args.suite} uses budget {budget} (requested {args.epsilon_budget})",
+            f"note: suite {args.suite} caps --epsilon-budget at {budget - offset}"
+            f" (requested {args.epsilon_budget})",
             file=sys.stderr,
         )
     if _settle_cache(oracle, ok):

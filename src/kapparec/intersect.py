@@ -8,7 +8,7 @@ after the normalized DVV (Dijkgraaf-Verlinde-Verlinde 1991) of Liu-Xu 2007.
 A key whose smallest exponent is 0 or 1 on a stable (g, n-1) goes through the
 string or the dilaton equation, N(g; 0, mu) = 8 sum_v m_v (2v+1) N(g; mu with
 one v lowered) or N(g; 1, mu) = 24 (2g-3+n) N(g; mu), with m_v the
-multiplicity of v in mu.  Every other key is solved by DVV on its largest
+multiplicity of v in mu.  Every other key is solved by DVV on its smallest
 exponent k, plus N(0; 0,0,0) = 8 and N(1; 1) = 1:
 
     N(g; k, mu) = 8 sum_v m_v (2v+1) N(g; k+v-1, mu minus v) + 4 sum_{a+b=k-2}
@@ -17,7 +17,10 @@ exponent k, plus N(0; 0,0,0) = 8 and N(1; 1) = 1:
 The bracket is unchanged by the mirror (a, alpha, g1) <-> (b, beta, g - g1),
 so a <= b is summed and a < b counts twice; the dimension fixes
 3 g1 = a + sum(alpha) + 2 - len(alpha), so a steps by 3 in one residue class per
-split while 0 <= g1 <= g.  N is an integer by induction on chi: the string,
+split while 0 <= g1 <= g.  DVV holds at any point; the smallest k keeps the
+sum over a + b = k - 2 shortest, so the recursion reaches fewer keys (272 for
+the one-point ladder to g = 10, 779 on the largest k).  N is an integer by
+induction on chi: the string,
 dilaton and merge terms have chi - 1 and integer coefficients, so 8^chi gives
 them a factor 8; the other terms carry DVV's one 1/2 and chi's summing to
 chi - 1, so they get 8/2 = 4.
@@ -269,8 +272,9 @@ class IntersectionOracle:
         return val
 
     def _dvv(self, g: int, ds: tuple[int, ...]) -> int:
-        """DVV recursion for N on the largest exponent ds[-1] of the sorted key."""
-        k1, mu = ds[-1], ds[:-1]
+        """DVV recursion for N on the smallest exponent ds[0] of the sorted key,
+        at least 2 but at the two bases (string and dilaton take 0 and 1)."""
+        k1, mu = ds[0], ds[1:]
         kw = self._kw
         merged = 0
         # each distinct v of mu, at its first slot i and multiplicity j - i
@@ -283,12 +287,11 @@ class IntersectionOracle:
             i = j
         half = (k1 - 2) // 2
         quadratic = 0
+        # a <= b < k1 <= every part of mu, so the keys below are sorted as built;
         # memo hits are read without the call; `or` falls through on a miss (or a stored 0)
         for a in range(half + 1):
-            b = k1 - 2 - a  # a <= b, so b goes in at or past a's slot
-            i = bisect_right(mu, a)
-            j = bisect_right(mu, b, i)
-            key = mu[:i] + (a,) + mu[i:j] + (b,) + mu[j:]
+            b = k1 - 2 - a
+            key = (a, b) + mu
             v = kw.get(key) or self._normalized(g - 1, key)
             quadratic += v if a == b else 2 * v
         for alpha, beta, ways in cached_multiset_splits(mu):
@@ -296,13 +299,11 @@ class IntersectionOracle:
             s = sum(alpha) + 2 - len(alpha)
             for a in range(max(-s, -s % 3), min(half, 3 * g - s) + 1, 3):
                 g1 = (a + s) // 3
-                i = bisect_right(alpha, a)
-                key = alpha[:i] + (a,) + alpha[i:]
+                key = (a,) + alpha
                 v1 = kw.get(key) or self._normalized(g1, key)
                 if v1:
                     b = k1 - 2 - a
-                    i = bisect_right(beta, b)
-                    key = beta[:i] + (b,) + beta[i:]
+                    key = (b,) + beta
                     v2 = kw.get(key) or self._normalized(g - g1, key)
                     quadratic += (ways if a == b else 2 * ways) * v1 * v2
         base = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0

@@ -323,7 +323,8 @@ def test_verify_names_a_poisoned_cache_entry(capsys, tmp_path):
 
 def test_verify_reports_effective_budget(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "kdv", "--epsilon-budget", "20"])
-    assert code == 0 and "note: suite kdv uses budget 8 (requested 20)" in err
+    # both numbers in --epsilon-budget units: the kdv cap 8 less its offset 3
+    assert code == 0 and err == "note: suite kdv caps --epsilon-budget at 5 (requested 20)\n"
     code, default_out, err = run(capsys, ["verify", "--suite", "kdv"])
     assert code == 0 and out == default_out and "note" not in err
     code, out, err = run(capsys, ["verify", "--suite", "kdv", "--epsilon-budget", "20", "--format", "json"])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction as F
 from math import prod
 
@@ -13,6 +14,7 @@ from kapparec.intersect import Cache, IntersectionOracle, _key_str, _off_lattice
 from kapparec.kappapoly import (
     KappaPoly,
     cached_multiset_splits,
+    insert_sorted,
     j_polys,
     k_polys,
     multiplicities,
@@ -45,10 +47,53 @@ def test_kw_off_dimension_and_unstable():
     assert o.kw_number(2, ()) == 0
 
 
+class LargestExponentOracle(IntersectionOracle):
+    """The oracle with DVV on the largest exponent of each key, where the
+    oracle itself distinguishes the smallest: the reference route, and the
+    recursion whose closure the ladder digest pins."""
+
+    def _dvv(self, g, ds):
+        k1, mu = ds[-1], ds[:-1]
+        kw = self._kw
+        merged = 0
+        i, end = 0, len(mu)
+        while i < end:
+            v = mu[i]
+            j = bisect_right(mu, v, i)
+            if k1 + v:
+                merged += (j - i) * (2 * v + 1) * self._normalized(g, insert_sorted(mu[:i] + mu[i + 1 :], k1 + v - 1))
+            i = j
+        half = (k1 - 2) // 2
+        quadratic = 0
+        for a in range(half + 1):
+            b = k1 - 2 - a
+            i = bisect_right(mu, a)
+            j = bisect_right(mu, b, i)
+            key = mu[:i] + (a,) + mu[i:j] + (b,) + mu[j:]
+            v = kw.get(key) or self._normalized(g - 1, key)
+            quadratic += v if a == b else 2 * v
+        for alpha, beta, ways in cached_multiset_splits(mu):
+            s = sum(alpha) + 2 - len(alpha)
+            for a in range(max(-s, -s % 3), min(half, 3 * g - s) + 1, 3):
+                g1 = (a + s) // 3
+                i = bisect_right(alpha, a)
+                key = alpha[:i] + (a,) + alpha[i:]
+                v1 = kw.get(key) or self._normalized(g1, key)
+                if v1:
+                    b = k1 - 2 - a
+                    i = bisect_right(beta, b)
+                    key = beta[:i] + (b,) + beta[i:]
+                    v2 = kw.get(key) or self._normalized(g - g1, key)
+                    quadratic += (ways if a == b else 2 * ways) * v1 * v2
+        base = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0
+        return 8 * merged + 4 * quadratic + base
+
+
 def test_string_and_dilaton_random(oracle):
     # kw_number takes the string/dilaton shortcut on an appended 0 or 1;
-    # _dvv solves the same key by DVV on its largest exponent.
+    # the reference solves the same key by DVV on its largest exponent.
     # On-dimension psi numbers are positive, so no comparison is 0 == 0.
+    ref = LargestExponentOracle()
     rng = random.Random(71)
     for _ in range(60):
         g = rng.randint(0, 3)
@@ -63,7 +108,7 @@ def test_string_and_dilaton_random(oracle):
             key = ds + [extra]
             got = oracle.kw_number(g, key)
             key = tuple(sorted(key))
-            assert got > 0 and got == F(oracle._dvv(g, key), _scale(g, key)), (g, key)
+            assert got > 0 and got == F(ref._dvv(g, key), _scale(g, key)), (g, key)
 
 
 class FractionReference:
@@ -156,8 +201,45 @@ def test_one_point_ladder_closed_form():
     from math import factorial
 
     o = IntersectionOracle()
-    for g in range(1, 15):
+    for g in range(1, 19):
         assert o.kw_number(g, (3 * g - 2,)) == F(1, 24**g * factorial(g))
+    # DVV on the smallest exponent; on the largest, the memo reaches 35,104 keys
+    assert len(o._kw) == 2413
+
+
+def test_dvv_holds_at_every_point():
+    # the normalized DVV with each distinct exponent k of a key distinguished in
+    # turn, from the oracle's own N, summed over labeled slots and splits
+    o = IntersectionOracle()
+
+    def N(g, ds):
+        on_dimension = g >= 0 and 2 * g - 2 + len(ds) > 0 and sum(ds) == 3 * g - 3 + len(ds)
+        return o.kw_number(g, ds) * _scale(g, ds) if on_dimension else 0
+
+    pairs = 0
+    for g in range(5):
+        for n in range(1, 6):
+            if 2 * g - 2 + n <= 0:
+                continue
+            for ds in _psi_monomials(n, 3 * g - 3 + n):
+                for k in sorted(set(ds)):
+                    i = ds.index(k)
+                    mu = ds[:i] + ds[i + 1 :]
+                    rhs = 8 if (g, ds) == (0, (0, 0, 0)) else 1 if (g, ds) == (1, (1,)) else 0
+                    for j, v in enumerate(mu):
+                        if k + v:
+                            rhs += 8 * (2 * v + 1) * N(g, (k + v - 1,) + mu[:j] + mu[j + 1 :])
+                    for a in range(k - 1):
+                        b = k - 2 - a
+                        rhs += 4 * N(g - 1, (a, b) + mu)
+                        for mask in range(2 ** len(mu)):
+                            alpha = tuple(v for j, v in enumerate(mu) if mask >> j & 1)
+                            beta = tuple(v for j, v in enumerate(mu) if not mask >> j & 1)
+                            for g1 in range(g + 1):
+                                rhs += 4 * N(g1, (a,) + alpha) * N(g - g1, (b,) + beta)
+                    assert rhs == N(g, ds), (g, ds, k)
+                    pairs += 1
+    assert pairs == 807
 
 
 def test_kappa_psi_basics(oracle):
@@ -264,26 +346,52 @@ def test_kappa_psi_numbers_match_pinned_digest():
 
 
 # sha256 of the sorted "g;ds=value" lines of every psi number that the
-# one-point ladder kw_number(g, (3g-2,)), g = 6..10, computes on a cold oracle,
-# as the oracle computed them with its memo keyed by (g, ds)
+# one-point ladder kw_number(g, (3g-2,)), g = 6..10, computes on a cold oracle
+# with DVV on the largest exponent, as the oracle computed them with its memo
+# keyed by (g, ds)
 LADDER_PSI_DIGEST = "8c633d43873a7ea9f6cd2832b65e59dbe350dac8f25377138c2cc0236e2fa91c"
 
 
-def test_ladder_psi_numbers_match_pinned_digest():
-    # the cache sees every psi number the recursion computes, keyed with its genus
-    o = IntersectionOracle(Cache())
+def _ladder(oracle):
+    """The one-point ladder g = 6..10 on a cold oracle; the sorted (g, ds, value)
+    of every psi number it computed, which its cache saw keyed with the genus."""
     for g in range(6, 11):
-        o.kw_number(g, (3 * g - 2,))
-    items = sorted((g, ds, v) for (g, ds, lam), v in o.cache.data.items())
-    assert len(items) == 779
-    lines = [f"{g};{','.join(map(str, ds))}={rat_str(v)}" for g, ds, v in items]
+        oracle.kw_number(g, (3 * g - 2,))
+    return sorted((g, ds, v) for (g, ds, lam), v in oracle.cache.data.items())
+
+
+def test_ladder_psi_numbers_match_pinned_digest():
+    ref = _ladder(LargestExponentOracle(Cache()))
+    assert len(ref) == 779
+    lines = [f"{g};{','.join(map(str, ds))}={rat_str(v)}" for g, ds, v in ref]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LADDER_PSI_DIGEST
+    o = IntersectionOracle(Cache())
+    items = _ladder(o)
+    assert len(items) == 272
     # the memo is keyed by the sorted key alone, which fixes the genus on dimension
     assert len(o._kw) == len(items)
     for ds in o._kw:
         g, r = divmod(sum(ds) - len(ds) + 3, 3)
         assert list(ds) == sorted(ds) and r == 0 and g >= 0, ds
         assert F(o._kw[ds], _scale(g, ds)) == o.kw_number(g, ds), ds
+    for g, ds, v in ref:
+        assert o.kw_number(g, ds) == v, (g, ds)
+
+
+def test_a_cache_written_by_the_reference_recursion_loads(tmp_path, capsys):
+    from kapparec.cli import main
+
+    path = str(tmp_path / "ladder.json")
+    ref = LargestExponentOracle(Cache(path))
+    items = _ladder(ref)
+    ref.cache.save()
+    o = IntersectionOracle(Cache(path))
+    assert len(o.cache.data) == 779
+    values = [(g, ds, o.kw_number(g, ds)) for g, ds, _ in items]
+    # every value, the ladder's own among them, was read from the file
+    assert values == items and not o.cache.dirty
+    assert main(["cache", "--action", "verify", "--cache", path]) == 0
+    assert capsys.readouterr().out == "verified 779 entries, 0 bad\n"
 
 
 def test_integrate_linearity_and_families(oracle):
