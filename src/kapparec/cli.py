@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-infeasible budget.  All emitted artifacts are byte-deterministic for a given
-invocation (sorted keys, canonical "p/q" strings).
+Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage,
+infeasible budget, or a path that cannot be read or written (OSError).  All
+emitted artifacts are byte-deterministic for a given invocation (sorted
+keys, canonical "p/q" strings).
 
 A verify suite is a generator ``suite(args, budget, oracle)`` of
 ``(row, passed, checks)``: the report line (None for checks that print no
@@ -130,12 +131,12 @@ def cmd_kappa_polys(args) -> int:
 def cmd_correlators(args) -> int:
     _check_family(args.family, FAMILIES)
     g, n = args.g, args.n
+    if g < 0:
+        raise UsageError("--g must be non-negative")
     if n < 1 or 2 * g - 2 + n <= 0:
         raise UsageError("need a stable (g, n) with n >= 1")
     if 2 * g - 2 + n > args.epsilon_budget:
         raise UsageError(f"(g, n) level {2*g-2+n} above --epsilon-budget {args.epsilon_budget}")
-    if g < 0:
-        raise UsageError("--g must be non-negative")
     _emit(args, _engine(args.family, g, n).correlator(g, n).to_json())
     return 0
 
@@ -317,10 +318,10 @@ def cmd_hurwitz(args) -> int:
     if not part or any(x < 1 for x in part):
         raise UsageError("partition parts must be positive")
     g = args.g
-    if 2 * g - 2 + len(part) <= 0:
-        raise UsageError("outside stable range")
     if g < 0:
         raise UsageError("--g must be non-negative")
+    if 2 * g - 2 + len(part) <= 0:
+        raise UsageError("outside stable range")
     oracle = _oracle(args)
     try:
         r = hurwitz_three_ways(oracle, _engine("kstar", g, len(part)), g, part)
@@ -466,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(exc, file=sys.stderr)
         return USAGE_ERROR
 

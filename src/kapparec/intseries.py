@@ -16,6 +16,10 @@ rescales to the lcm of its terms' denominators.  A gcd is taken only by
 ``reduced`` (each step of ``invert``) and by the engine's read-off.
 Integer multiply-adds are several times cheaper than ``Fraction`` ones,
 which normalise after every operation.
+
+``product_order`` and ``inverse_span`` state the two truncation-order rules
+once, for IntSeries and zseries.ZSeries alike: how far a product and an
+inverse are provably known.
 """
 
 from __future__ import annotations
@@ -33,6 +37,31 @@ def _min_order(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
+
+
+def product_order(n1: int | None, lo1: int | None, n2: int | None, lo2: int | None) -> int | None:
+    """The provable order min(N1+b2, N2+b1) of a product of series with
+    truncation orders N_i (None: exact) and lowest exponents lo_i (None:
+    empty).  An empty O(z^N) operand has b = N, and an exactly-zero one
+    makes the product the exact zero (None)."""
+    b1, b2 = n1 if lo1 is None else lo1, n2 if lo2 is None else lo2
+    if b1 is None or b2 is None:
+        return None
+    return _min_order(None if n1 is None else n1 + b2, None if n2 is None else n2 + b1)
+
+
+def inverse_span(order: int | None, b: int, out_order: int | None) -> int:
+    """How many coefficients d_0, d_1, ... of 1/(1+r) the inverse of
+    c z^b (1+r) determines.  r is known below z^(order-b), and d_k reads
+    r_j for j <= k only, so a truncated series gives order - b; out_order,
+    which an exactly-known series must supply, caps it at out_order + b.
+    The inverse has order span - b."""
+    rel = _min_order(None if order is None else order - b, None if out_order is None else out_order + b)
+    if rel is None:
+        raise ValueError("out_order required to invert an exact series")
+    if rel <= 0:
+        raise ValueError("insufficient truncation order for inversion")
+    return rel
 
 
 class HPacking:
@@ -137,25 +166,21 @@ class IntSeries:
         return [(j, Fraction(c, self.den)) for j, c in sorted(self.coeffs.items())]
 
     def mul(self, other: "IntSeries", hi: int | None = None) -> "IntSeries":
-        """Exact truncated product, with the provable order of ZSeries.mul:
-        min(N1+b2, N2+b1), capped at hi+1 when hi is given.  An empty O(z^N)
-        operand has b = N, and an exactly-zero one gives the exact zero."""
-        a, b = self.coeffs, other.coeffs
+        """Exact truncated product with the provable order of
+        ``product_order``, capped at hi+1 when hi is given (the exact zero
+        stays exact)."""
+        a, bs = self.coeffs, sorted(other.coeffs.items())
         den = self.den * other.den
-        if (not a and self.order is None) or (not b and other.order is None):
-            return IntSeries({}, den, self.pack)
         zs = self.pack.zshift
-        order = _min_order(
-            None if self.order is None else self.order + (min(b) >> zs if b else other.order),
-            None if other.order is None else other.order + (min(a) >> zs if a else self.order),
-        )
+        order = product_order(self.order, min(a) >> zs if a else None, other.order, bs[0][0] >> zs if bs else None)
+        if order is None and not (a and bs):  # an exactly-zero operand
+            return IntSeries({}, den, self.pack)
         if hi is not None:
             order = _min_order(order, hi + 1)
         # an exact product stops past its largest key; an empty operand runs no loop
-        top = order << zs if order is not None else max(a) + max(b) + 1
+        top = order << zs if order is not None else max(a) + bs[-1][0] + 1
         out: dict[int, int] = {}
         get = out.get
-        bs = sorted(b.items())
         for j1, c1 in a.items():
             for j2, c2 in bs:
                 j = j1 + j2
@@ -165,11 +190,11 @@ class IntSeries:
         return IntSeries(_kept(out, self.pack), den, self.pack, order)
 
     def invert(self, out_order: int | None = None) -> "IntSeries":
-        """Multiplicative inverse, reduced, with the provable order and the
-        ValueErrors of zseries.series_invert: the leading coefficient must
-        be a single term free of h, and an exactly-known series needs
-        ``out_order``.  Each step drops its terms over the h-weight cap,
-        which is exact because h-weights are non-negative and add.
+        """Multiplicative inverse, reduced, with the span and ValueErrors of
+        ``inverse_span``; the leading coefficient must be a single term free
+        of h, as in zseries.series_invert.  Each step drops its terms over
+        the h-weight cap, which is exact because h-weights are non-negative
+        and add.
         """
         if not self.coeffs:
             raise ValueError("cannot invert the zero series")
@@ -178,14 +203,7 @@ class IntSeries:
         b = lo >> zs
         if lo != b << zs or any(j >> zs == b for j in self.coeffs if j != lo):
             raise ValueError("leading term not a unit")
-        if self.order is None:
-            if out_order is None:
-                raise ValueError("out_order required to invert an exact series")
-            rel = out_order + b
-        else:
-            rel = self.order - b if out_order is None else min(self.order - b, out_order + b)
-        if rel <= 0:
-            raise ValueError("insufficient truncation order for inversion")
+        rel = inverse_span(self.order, b, out_order)
         # self = (c0/den) z^b (1 + r) with r_j = coeff(b+j)/c0, and 1/(1+r)
         # = sum d_k z^k with d_0 = 1, d_k = -sum_{0<j<=k} r_j d_{k-j}; each
         # r_j and d_k is a series at the single exponent j or k

@@ -40,8 +40,11 @@ Slices and diagonals are pushed from these forms, with no key probed: one
 pass over a table's entries gives all of its slices, and one pass over
 w_{g-1,n+1} all the diagonals of the level (g, n); the lowered y is built
 by the same lcm sum (_series).  The read-off is IntSeries.mul of W by
-1/(2 eta) up to the poles it needs, grouped straight into Forms.  The ParamPoly of an entry (eps restored, Fraction coefficients) is
-a view, built whenever a caller reads it and never kept.
+1/(2 eta) up to the poles it needs, grouped straight into Forms.  Its
+product-order guard is the engine's only order check: a read-off whose
+poles pass the product's provable order raises InsufficientOrderError, on
+every curve.  The ParamPoly of an entry (eps restored, Fraction
+coefficients) is a view, built whenever a caller reads it and never kept.
 
 Computed correlators are immutable and the per-engine table is append-only
 with deterministic, schedule-independent entries; each table's slices are
@@ -66,7 +69,9 @@ FAMILIES = ("kw", "k", "j", "weak-k", "weak-j", "bgw", "kstar")
 
 
 class InsufficientOrderError(Exception):
-    """The curve series is not truncated deep enough for the requested (g, n)."""
+    """The curve series is not truncated deep enough for the requested (g, n):
+    raised by the read-off alone, when its product with 1/(2 eta) would
+    state a pole past the product's provable order."""
 
 
 class SpectralCurve:
@@ -132,8 +137,13 @@ class SpectralCurve:
 
 
 def required_order(g: int, n: int) -> int:
-    """Truncation order of y needed to assemble w_{g,n}: all poles of the
-    first slot have order <= 2(3g-2+n)+2."""
+    """Truncation order of y for w_{g,n} and its diagnostics: all poles of
+    the first slot have order <= 2(3g-2+n)+2.  On a truncated y a correlator
+    alone is read off up to two orders lower, but the full read-off of
+    all_slots_agree needs this order, and loop_equation_negative_residual
+    compares fewer coefficients below it.  Nothing checks a curve against
+    it: the read-off's product-order guard refuses any curve that is too
+    short for what it is asked."""
     return 2 * (3 * g - 2 + n) + 2
 
 
@@ -294,12 +304,6 @@ class Engine:
         hit = self.table.get(key)
         if hit is not None:
             return hit
-        if self.curve.order is not None and self.curve.y.order is not None:
-            if self.curve.order < required_order(g, n):
-                raise InsufficientOrderError(
-                    f"curve order {self.curve.order} < required "
-                    f"{required_order(g, n)} for (g, n) = ({g}, {n})"
-                )
         corr = self._compute(g, n)
         self.table[key] = corr
         return corr

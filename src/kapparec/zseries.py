@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .intseries import _min_order
+from .intseries import inverse_span, product_order
 from .parampoly import PP_ZERO, ParamPoly, add_terms
 
 Coeff = Union[ParamPoly, Fraction, int]
@@ -70,29 +70,10 @@ class ZSeries:
     # -- multiplication ----------------------------------------------------------
 
     def mul(self, other: "ZSeries") -> "ZSeries":
-        """Exact truncated product.
-
-        The provable order is min(N1+b2, N2+b1) for truncations N_i and lower
-        bounds b_i.
-        """
-        if not self.coeffs or not other.coeffs:
-            if (self.order is None and not self.coeffs) or (
-                other.order is None and not other.coeffs
-            ):
-                return ZSeries({}, order=None)
-            b1, b2 = self.low(), other.low()
-            n = _min_order(
-                None if self.order is None or b2 is None else self.order + b2,
-                None if other.order is None or b1 is None else other.order + b1,
-            )
-            return ZSeries({}, order=n)
-        b1 = min(self.coeffs)
-        b2 = min(other.coeffs)
-        order = _min_order(
-            None if self.order is None else self.order + b2,
-            None if other.order is None else other.order + b1,
-        )
+        """Exact truncated product, with the provable order of
+        intseries.product_order."""
         a, b = self.coeffs, other.coeffs
+        order = product_order(self.order, min(a) if a else None, other.order, min(b) if b else None)
         if len(a) > len(b):
             a, b = b, a
         cs = add_terms(
@@ -111,9 +92,9 @@ def series_invert(s: ZSeries, out_order: int | None = None) -> ZSeries:
     """Multiplicative inverse of a series whose leading coefficient is a unit.
 
     The leading coefficient must be a single monomial with no h-part (only
-    c * eps^k is invertible in the coefficient ring).  The provable order of
-    the result is N - 2b for input order N and leading exponent b; for an
-    exactly-known input, ``out_order`` must be supplied.
+    c * eps^k is invertible in the coefficient ring).  The span, the order
+    and the ValueErrors for an exactly-known input or a short one are those
+    of intseries.inverse_span.
     """
     if s.is_zero():
         raise ValueError("cannot invert the zero series")
@@ -125,18 +106,7 @@ def series_invert(s: ZSeries, out_order: int | None = None) -> ZSeries:
     if h0:
         raise ValueError("leading term not a unit")
     inv_lead = ParamPoly.eps(-e0, Fraction(1) / c0) if e0 else ParamPoly.const(Fraction(1) / c0)
-    if s.order is None:
-        if out_order is None:
-            raise ValueError("out_order required to invert an exact series")
-        rel = out_order + b
-    else:
-        # s = lead*z^b*(1+r) with r known to relative order N-b, and the
-        # relative inverse coefficient d_k only involves r_j for j <= k
-        rel = s.order - b
-        if out_order is not None:
-            rel = min(rel, out_order + b)
-    if rel <= 0:
-        raise ValueError("insufficient truncation order for inversion")
+    rel = inverse_span(s.order, b, out_order)
     # s = lead * z^b * (1 + r),  r_j = coeff(b+j) / lead
     r = {}
     for j, c in s.coeffs.items():

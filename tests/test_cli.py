@@ -262,6 +262,10 @@ def test_bad_arguments_are_usage_errors(capsys):
         (["verify", "--suite", "conjecture", "--family", "j", "--epsilon-budget", "0"], "--family"),
         (["correlators", "--g", "-1", "--n", "5"], "--g"),
         (["hurwitz", "--g", "-1", "--partition", "1,1,1,1,1"], "--g"),
+        # --g is checked before the level, the budget and the stable range read it
+        (["correlators", "--g", "-1", "--n", "10", "--epsilon-budget", "5"], "--g"),
+        (["hurwitz", "--g", "-3", "--partition", "1"], "--g"),
+        (["correlators", "--g", "-2", "--n", "1"], "--g"),
         (["potentials", "--t-max", "-1"], "--t-max"),
     ) + tuple(
         # a negative budget is refused before any suite runs, also where the
@@ -272,6 +276,22 @@ def test_bad_arguments_are_usage_errors(capsys):
     ):
         code, out, err = run(capsys, args)
         assert code == 2 and out == "" and msg in err, args
+
+
+def test_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    # a path under a regular file cannot be written: exit 2 naming it, not a
+    # traceback under exit 1, which means that a check failed
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    cache = tmp_path / "C.json"
+    cache.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {}}))
+    for args in (
+        ["kappa-polys", "--out", str(blocker / "x.txt")],
+        ["verify", "--suite", "kdv", "--epsilon-budget", "1", "--cache", str(blocker / "c.json")],
+        ["cache", "--action", "export", "--cache", str(cache), "--out", str(blocker / "x.json")],
+    ):
+        code, out, err = run(capsys, args)
+        assert code == 2 and out == "" and str(blocker) in err, args
 
 
 def test_verify_nothing_checked(capsys):

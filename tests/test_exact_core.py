@@ -262,20 +262,29 @@ def test_intseries_exact_product_is_the_sum_over_every_term_pair(pack):
 
 def test_intseries_product_with_an_empty_operand():
     # an empty O(z^N) operand enters the order formula with lowest exponent N;
-    # an exactly-zero operand gives the exact empty product
+    # an exactly-zero operand gives the exact empty product; ZSeries.mul, on
+    # the same rule, gives the same orders
     pack = HPacking(0, 0)
-    one, empty3 = IntSeries({0: 1}, 1, pack, 3), IntSeries({}, 1, pack, 3)
-    for a, b, order in ((empty3, one, 3), (one, empty3, 3), (empty3, IntSeries({}, 2, pack, 2), 5),
-                        (IntSeries({}, 1, pack, 4), IntSeries({-1: 5}, 1, pack, 6), 3)):
+
+    def both(coeffs, den, order=None):
+        return IntSeries(coeffs, den, pack, order), ZSeries({j: F(c, den) for j, c in coeffs.items()}, order)
+
+    one, empty3 = both({0: 1}, 1, 3), both({}, 1, 3)
+    for (a, za), (b, zb), order in ((empty3, one, 3), (one, empty3, 3), (empty3, both({}, 2, 2), 5),
+                                    (both({}, 1, 4), both({-1: 5}, 1, 6), 3)):
         got = a.mul(b)
         assert (got.coeffs, got.order, got.den) == ({}, order, a.den * b.den)
+        got = za.mul(zb)
+        assert (got.coeffs, got.order) == ({}, order)
         got = a.mul(b, 1)
         assert (got.coeffs, got.order) == ({}, 2)
-    zero = IntSeries({}, 3, pack)
-    for a, b in ((zero, one), (one, zero), (zero, zero), (zero, empty3), (empty3, zero)):
+    zero = both({}, 3)
+    for (a, za), (b, zb) in ((zero, one), (one, zero), (zero, zero), (zero, empty3), (empty3, zero)):
         for hi in (None, 1):
             got = a.mul(b, hi)
             assert (got.coeffs, got.order, got.den) == ({}, None, a.den * b.den)
+        got = za.mul(zb)
+        assert (got.coeffs, got.order) == ({}, None)
 
 
 def test_series_invert_geometric():

@@ -369,44 +369,52 @@ def test_no_diagonal_map_outlives_its_level():
         assert all(isinstance(s, IntSeries) for t in eng._slices.values() for s in t.values())
 
 
-@pytest.mark.parametrize("family", ["k", "j", "kstar"])
-def test_required_order_is_enough_and_two_less_is_refused(family):
-    for g, n in [(0, 3), (0, 5), (1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]:
-        order = required_order(g, n)
-        Engine(build_curve(family, order)).correlator(g, n)
-        with pytest.raises(InsufficientOrderError, match="curve order"):
-            Engine(build_curve(family, order - 2)).correlator(g, n)
+# (accepted, refused) curve orders below the required one over levels(6);
+# the exact y of kw and bgw is accepted at orders far below it
+_LOWER_ORDERS = {"kw": (85, 97), "bgw": (172, 10)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_lower_curve_order_is_refused_or_gives_the_same_table(family):
+    # the read-off's product-order guard is the engine's only order check:
+    # at every level <= 6, the required order computes the table, and every
+    # lower order is refused by that guard or gives the same table; a
+    # truncated y is accepted at most two orders below the required one,
+    # where the full read-off of all_slots_agree is refused at the top level
+    def engine(g, n, order):
+        cap = 3 * g - 3 + n if family.startswith("weak") else None  # as cli._engine
+        return Engine(build_curve(family, order, n_h=cap or 0, h_weight_cap=cap))
+
+    accepted, refused = [], 0
+    for g, n in levels(6):
+        want = engine(g, n, required_order(g, n)).correlator(g, n).forms
+        for order in range(2, required_order(g, n)):
+            try:
+                got = engine(g, n, order).correlator(g, n).forms
+            except InsufficientOrderError as e:
+                assert "product order" in str(e), (g, n, order)
+                refused += 1
+            else:
+                assert got == want, (g, n, order)
+                accepted.append(required_order(g, n) - order)
+    assert (len(accepted), refused) == _LOWER_ORDERS.get(family, (36, 146))
+    top = _top(6)
+    short = engine(*top, required_order(*top) - 2)
+    if short.curve.y.order is not None:
+        assert set(accepted) == {1, 2}
+        short.correlator(*top)
+        with pytest.raises(InsufficientOrderError, match="product order"):
+            short.all_slots_agree(*top)
 
 
 def test_a_short_y_is_caught_by_the_product_order_guard():
-    # the curve claims depth for (2, 1) but its y stops at z^5: the curve-order
-    # precheck passes, and the integer core must refuse at the product
+    # the curve claims depth for (2, 1) but its y stops at z^5: the shorter
+    # 1/(2 eta) it gives must be refused at the product, not read past its order
     short = build_curve("k", 6).y
     eng = Engine(SpectralCurve("k", short, required_order(2, 1)))
     eng.correlator(0, 3)
     with pytest.raises(InsufficientOrderError, match="product order"):
         eng.correlator(2, 1)
-
-
-def test_the_product_order_guard_is_sound_on_exact_curves():
-    # kw and bgw have an exact y, so the curve-order precheck is skipped and
-    # the read-off's product-order guard is the only order check: at every
-    # curve order below the required one, a correlator is either refused by
-    # that guard or equal to the one at the required order
-    accepted = refused = 0
-    for family in ("kw", "bgw"):
-        for g, n in levels(6):
-            want = Engine(build_curve(family, required_order(g, n))).correlator(g, n).forms
-            for order in range(2, required_order(g, n)):
-                try:
-                    got = Engine(build_curve(family, order)).correlator(g, n).forms
-                except InsufficientOrderError as e:
-                    assert "product order" in str(e), (family, g, n, order)
-                    refused += 1
-                else:
-                    assert got == want, (family, g, n, order)
-                    accepted += 1
-    assert (accepted, refused) == (257, 107)
 
 
 def _two_eta(curve: SpectralCurve) -> ZSeries:
