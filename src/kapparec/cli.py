@@ -9,8 +9,8 @@ A verify suite is a generator ``suite(args, budget, oracle)`` of
 ``(row, passed, checks)``: the report line (None for checks that print no
 line), whether its check held, and how many checks it ran.  ``cmd_verify``
 alone turns the rows into a verdict: it computes the effective budget, notes
-a capped one, settles the cache, and reports PASS, FAIL, or "nothing
-checked" when the checks sum to zero.
+a capped one, refuses a cache with a bad entry, reports PASS, FAIL, or
+"nothing checked" when the checks sum to zero, and then saves the cache.
 """
 
 from __future__ import annotations
@@ -69,25 +69,25 @@ def _oracle(args) -> IntersectionOracle:
     return IntersectionOracle(_open_cache(path) if path else None)
 
 
-def _settle_cache(oracle: IntersectionOracle | None, ok: bool) -> bool:
-    """Save the oracle's cache file after a run, unless a failure is its fault.
-
-    After a failed check, each entry of the file the oracle read that a
-    cacheless oracle does not reproduce is named on stderr; if there is one,
-    the file is left unchanged and True is returned.
-    """
+def _bad_cache(oracle: IntersectionOracle | None, ok: bool) -> bool:
+    """After a failed check, name on stderr each entry of the cache file the
+    oracle read that a cacheless oracle does not reproduce; True if there is
+    one, and then the file must be left unchanged."""
     cache = oracle and oracle.cache
-    if cache is None:
+    if cache is None or ok:
         return False
-    if not ok:
-        bad = _bad_entries(_open_cache(cache.path))
-        for key, what in bad.items():
-            print(f"bad cache entry {key}: {what}", file=sys.stderr)
-        if bad:
-            return True
-    if cache.dirty:
+    bad = _bad_entries(_open_cache(cache.path))
+    for key, what in bad.items():
+        print(f"bad cache entry {key}: {what}", file=sys.stderr)
+    return bool(bad)
+
+
+def _save_cache(oracle: IntersectionOracle | None) -> None:
+    """Save the oracle's cache file if the run added entries: after the
+    report, so that a path that cannot be written loses no verdict."""
+    cache = oracle and oracle.cache
+    if cache is not None and cache.dirty:
         cache.save()
-    return False
 
 
 def _check_family(family: str, allowed) -> None:
@@ -298,7 +298,7 @@ def cmd_verify(args) -> int:
             f" (requested {args.epsilon_budget})",
             file=sys.stderr,
         )
-    if _settle_cache(oracle, ok):
+    if _bad_cache(oracle, ok):
         return USAGE_ERROR
     if not checks:
         raise UsageError(f"nothing checked: suite {args.suite} produced no rows")
@@ -307,6 +307,7 @@ def cmd_verify(args) -> int:
         _emit(args, {"suite": args.suite, "effective_budget": budget, "rows": rows, "status": status})
     else:
         _emit(args, "\n".join(rows + [f"status: {status}"]))
+    _save_cache(oracle)
     return 0 if ok else CHECK_FAILED
 
 
@@ -328,7 +329,7 @@ def cmd_hurwitz(args) -> int:
     except BudgetError as exc:
         raise UsageError(f"infeasible: {exc}") from exc
     vals = {v for v in r.values() if v is not None}
-    if _settle_cache(oracle, len(vals) == 1):
+    if _bad_cache(oracle, len(vals) == 1):
         return USAGE_ERROR
     payload = {
         "g": g,
@@ -342,6 +343,7 @@ def cmd_hurwitz(args) -> int:
         _emit(args, f"h(g={g}, mu={list(part)}) = {head}  [{routes}]")
     else:
         _emit(args, payload)
+    _save_cache(oracle)
     return 0 if payload["agree"] else CHECK_FAILED
 
 

@@ -57,6 +57,7 @@ sum(d) = 3g-3+n fixes g.  Disk-cache keys still carry g.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -189,7 +190,10 @@ class Cache:
             raise ValueError("no cache path configured")
         entries = {_key_str(*k): rat_str(v) for k, v in self.data.items()}
         d = os.path.dirname(os.path.abspath(path))
-        os.makedirs(d, exist_ok=True)
+        try:
+            os.makedirs(d, exist_ok=True)
+        except FileExistsError:  # d is a regular file, which makedirs calls "File exists"
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), d) from None
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump({"version": CACHE_VERSION, "entries": entries}, fh, indent=0, sort_keys=True)

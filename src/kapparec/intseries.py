@@ -9,11 +9,15 @@ at the key ``(j << pack.zshift) | pack.pack(alpha)``, so keys add as the
 monomials multiply and sort by exponent first.  With no h (an empty pack)
 the key is j and the value at z^j is ``coeffs[j] / den``.
 
-``mul`` and ``sum_of_products`` are the package's only products of integer
-series; the engine's read-off is a ``mul`` bounded at the poles it keeps.
-They reduce nothing: a product multiplies the denominators, and a sum
-rescales to the lcm of its terms' denominators.  A gcd is taken only by
-``reduced`` (each step of ``invert``) and by the engine's read-off.
+``mul`` and ``sum_of_products`` are the products of integer series that
+``invert`` and the engine's loop-equation check use.  The engine's hot
+path works on plain key maps through the same loops: W is summed with
+``add_products`` and ``kept``, and the read-off multiplies it by the sorted
+terms of 1/(2 eta) with ``product_below``, the loop of ``mul``, its guard
+from ``product_order``.  None of them reduces: a product multiplies the
+denominators, and a sum rescales to the lcm of its terms' denominators.
+A gcd is taken only by ``reduced`` (each step of ``invert``) and by the
+engine's read-off.
 Integer multiply-adds are several times cheaper than ``Fraction`` ones,
 which normalise after every operation.
 
@@ -115,12 +119,41 @@ class HPacking:
         return h
 
 
-def _kept(out: dict[int, int], pack: HPacking) -> dict[int, int]:
+def kept(out: dict[int, int], pack: HPacking) -> dict[int, int]:
     """out without zeros and without the terms over the cap."""
     wfield, wcap = pack.wfield, pack.wcap
-    kept = {k: c for k, c in out.items() if c and k & wfield <= wcap}
-    assert pack.capped or len(kept) == sum(map(bool, out.values())), "h-weight over the bound"
-    return kept
+    within = {k: c for k, c in out.items() if c and k & wfield <= wcap}
+    assert pack.capped or len(within) == sum(map(bool, out.values())), "h-weight over the bound"
+    return within
+
+
+def add_products(out: dict[int, int], products, den: int) -> None:
+    """Add sum ways*s1*s2 over the products (s1, s2, ways) of exact series
+    to the numerators ``out`` over den, a multiple of every s1.den*s2.den."""
+    get = out.get
+    for s1, s2, ways in products:
+        f = ways * (den // (s1.den * s2.den))
+        b = s2.coeffs.items()
+        for j1, c1 in s1.coeffs.items():
+            c1 *= f
+            for j2, c2 in b:
+                j = j1 + j2
+                out[j] = get(j, 0) + c1 * c2
+
+
+def product_below(a: dict[int, int], b, top: int, pack: HPacking) -> dict[int, int]:
+    """key -> nonzero numerator of the product of the numerator maps a and b
+    below the key top, without the terms over the cap; b is (key, numerator)
+    pairs by increasing key, so each row stops at top."""
+    out: dict[int, int] = {}
+    get = out.get
+    for j1, c1 in a.items():
+        for j2, c2 in b:
+            j = j1 + j2
+            if j >= top:
+                break
+            out[j] = get(j, 0) + c1 * c2
+    return kept(out, pack)
 
 
 class IntSeries:
@@ -139,16 +172,8 @@ class IntSeries:
         products = list(products)
         den = lcm(*(s1.den * s2.den for s1, s2, _ in products), base.den if base else 1)
         out = {j: c * (den // base.den) for j, c in base.coeffs.items()} if base else {}
-        get = out.get
-        for s1, s2, ways in products:
-            f = ways * (den // (s1.den * s2.den))
-            b = s2.coeffs.items()
-            for j1, c1 in s1.coeffs.items():
-                c1 *= f
-                for j2, c2 in b:
-                    j = j1 + j2
-                    out[j] = get(j, 0) + c1 * c2
-        return IntSeries(_kept(out, pack), den, pack)
+        add_products(out, products, den)
+        return IntSeries(kept(out, pack), den, pack)
 
     def reduced(self) -> "IntSeries":
         """The same series with the gcd of den and the numerators divided
@@ -157,9 +182,6 @@ class IntSeries:
         if g == 1:
             return self
         return IntSeries({j: c // g for j, c in self.coeffs.items()}, self.den // g, self.pack, self.order)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def items(self) -> list[tuple[int, Fraction]]:
         """Sorted (key, exact value) pairs."""
@@ -179,15 +201,7 @@ class IntSeries:
             order = _min_order(order, hi + 1)
         # an exact product stops past its largest key; an empty operand runs no loop
         top = order << zs if order is not None else max(a) + bs[-1][0] + 1
-        out: dict[int, int] = {}
-        get = out.get
-        for j1, c1 in a.items():
-            for j2, c2 in bs:
-                j = j1 + j2
-                if j >= top:
-                    break
-                out[j] = get(j, 0) + c1 * c2
-        return IntSeries(_kept(out, self.pack), den, self.pack, order)
+        return IntSeries(product_below(a, bs, top, self.pack), den, self.pack, order)
 
     def invert(self, out_order: int | None = None) -> "IntSeries":
         """Multiplicative inverse, reduced, with the span and ValueErrors of

@@ -65,8 +65,12 @@ def multiset_splits(mu: Sequence[int]) -> list[Split]:
 
     alpha and beta come out sorted ascending.  Uncached: the recursion
     engine asks once per rest of a level, many distinct keys, and a cache
-    for them costs more memory than it saves time; the oracle's DVV
-    recursion, which asks for the same few keys again, uses the cached form.
+    for them costs more memory than it saves time.  On the ``tr-ladder``
+    benchmark, where these splits are about a fifth of the time spent
+    summing W, the memoized form raised a pass's peak RSS by about 0.65 MiB
+    (3%), and a per-engine memo by about 0.4 MiB with no time saved in a
+    fresh process.  The oracle's DVV recursion, which asks for the same few
+    keys again, uses the cached form.
     """
     out = [((), (), 1)]
     for v, m in sorted(multiplicities(mu).items()):

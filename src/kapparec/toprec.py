@@ -21,13 +21,13 @@ repeat it.  Engine.all_slots_agree rebuilds every entry from each of its
 slots and compares the copies exactly.
 
 The curve's y is the one ZSeries the engine reads.  The recursion runs in
-an integer core at eps = 1 (IntSeries), from the lowered y to the
-read-off: slices, W and 1/(2 eta) are integer numerators over one shared
-denominator, and every product among them is IntSeries.mul or
-sum_of_products.  A key packs the z-exponent with an h-monomial (the
-curve's HPacking), and products drop the monomials over the h-weight cap;
-on a curve whose y has no h (kw, k, j, bgw, kstar) the packing is empty
-and a key is just the exponent, while weak-k and weak-j carry formal h_i.
+an integer core at eps = 1, from the lowered y to the read-off: slices,
+W and 1/(2 eta) are integer numerators over one shared denominator, the
+slices and 1/(2 eta) as IntSeries and W as a plain key -> numerator map.
+A key packs the z-exponent with an h-monomial (the curve's HPacking), and
+products drop the monomials over the h-weight cap; on a curve whose y has
+no h (kw, k, j, bgw, kstar) the packing is empty and a key is just the
+exponent, while weak-k and weak-j carry formal h_i.
 eps comes back from a grading (SpectralCurve.eps_weight): y is
 quasi-homogeneous of degree -1 under z -> l z, eps -> l^2 eps,
 h_i -> l^(-2i) h_i, so the term h^alpha of the entry at k of w_{g,n}
@@ -38,13 +38,18 @@ positive denominator and (packed h-key, numerator) pairs sorted by key,
 reduced to gcd(den, numerators) = 1, so equal entries have equal forms.
 Slices and diagonals are pushed from these forms, with no key probed: one
 pass over a table's entries gives all of its slices, and one pass over
-w_{g-1,n+1} all the diagonals of the level (g, n); the lowered y is built
-by the same lcm sum (_series).  The read-off is IntSeries.mul of W by
-1/(2 eta) up to the poles it needs, grouped straight into Forms.  Its
-product-order guard is the engine's only order check: a read-off whose
-poles pass the product's provable order raises InsufficientOrderError, on
-every curve.  The ParamPoly of an entry (eps restored, Fraction
-coefficients) is a view, built whenever a caller reads it and never kept.
+w_{g-1,n+1} all the diagonals of the level (g, n).  The read-off goes from
+slices to poles in one integer pass: _w sums the diagonal's terms and the
+slice pair products straight into one map over their lcm (_sum, the sum
+that also builds the slices and the lowered y), the terms of 1/(2 eta)
+multiply it in the increasing key order inv2eta keeps them in, each row
+stopping at z^hi (intseries.product_below, the loop of IntSeries.mul), and
+the poles are grouped into Forms.  Its product-order
+guard (intseries.product_order on W's lowest key) is the engine's only
+order check: a read-off whose poles pass the product's provable order
+raises InsufficientOrderError, on every curve.  The ParamPoly of an entry
+(eps restored, Fraction coefficients) is a view, built whenever a caller
+reads it and never kept.
 
 Computed correlators are immutable and the per-engine table is append-only
 with deterministic, schedule-independent entries; each table's slices are
@@ -59,7 +64,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .coeffs import htilde_weak
-from .intseries import HPacking, IntSeries
+from .intseries import HPacking, IntSeries, add_products, kept, product_below, product_order
 from .kappapoly import aut, multiset_splits
 from .parampoly import PP_ZERO, ParamPoly, hweight
 from .rationals import odd_df
@@ -242,15 +247,12 @@ class Correlator:
 @lru_cache(maxsize=None)
 def _sorted_tuples(n: int, total_max: int) -> tuple[tuple[int, ...], ...]:
     """Non-decreasing n-tuples of non-negative ints with sum <= total_max,
-    in lexicographic order."""
-
-    def rec(k: int, low: int, rem: int):
-        if not k:
-            yield ()
-        for v in range(low, rem // k + 1 if k else 0):
-            yield from ((v,) + t for t in rec(k - 1, v, rem - v))
-
-    return tuple(rec(n, 0, total_max))
+    in lexicographic order: each prefix, in that order, extended by every
+    value v from its last on that leaves room for k - 1 more slots >= v."""
+    grown = [((), 0, total_max)]  # (prefix, its last value, the sum left)
+    for k in range(n, 0, -1):
+        grown = [(t + (v,), v, rem - v) for t, low, rem in grown for v in range(low, rem // k + 1)]
+    return tuple(t for t, _, _ in grown)
 
 
 def levels(budget: int) -> list[tuple[int, int]]:
@@ -263,10 +265,11 @@ def levels(budget: int) -> list[tuple[int, int]]:
     ]
 
 
-def _series(pack: HPacking, terms: list[Term]) -> IntSeries | None:
-    """The series sum f*value*z^e over the terms, over the lcm of the Forms'
-    denominators; None when it is zero."""
-    den = lcm(*(d for _, (d, _), _ in terms))
+def _sum(pack: HPacking, den: int, terms, products=()) -> dict[int, int]:
+    """key -> nonzero numerator over den of sum f*value*z^e over the Terms
+    plus sum ways*s1*s2 over the products (s1, s2, ways) of exact series,
+    without the terms over the h-weight cap; den is a multiple of all their
+    denominators.  The one sum behind the slices, W and the lowered y."""
     zs = pack.zshift
     out: dict[int, int] = {}
     get = out.get
@@ -275,15 +278,52 @@ def _series(pack: HPacking, terms: list[Term]) -> IntSeries | None:
         e <<= zs
         for h, c in pairs:
             out[e | h] = get(e | h, 0) + c * f
-    out = {j: c for j, c in out.items() if c}
+    add_products(out, products, den)
+    return kept(out, pack)
+
+
+def _series(pack: HPacking, terms: list[Term]) -> IntSeries | None:
+    """The series sum f*value*z^e over the terms, over the lcm of the Forms'
+    denominators; None when it is zero."""
+    den = lcm(*(d for _, (d, _), _ in terms))
+    out = _sum(pack, den, terms)
     return IntSeries(out, den, pack) if out else None
+
+
+def _w(g: int, rest: tuple[int, ...], level, pack: HPacking) -> tuple[int, dict[int, int]]:
+    """W_{g,n}(z, rest) as (den, key -> nonzero numerator): the diagonal
+    plus all ordered pair products of slices, both read from ``level``
+    (what Engine._level returns), in one _sum over the lcm of their
+    denominators."""
+    diags, slices = level
+    terms = diags.get(rest, ())
+    den = lcm(*(d for _, (d, _), _ in terms))  # and each product's, as it is found
+    # ordered pair products, each computed once together with its mirror
+    # (g2, beta, g1, alpha), which has the same ways; w_{0,1} factors
+    # vanish and are skipped, and so is the (g2, beta) = (g, rest) factor
+    products = []
+    splits = multiset_splits(rest)
+    for g1 in range(g // 2 + 1):
+        g2 = g - g1
+        left, right = slices[g1], slices[g2]
+        for alpha, beta, ways in splits:
+            if (g1 == g2 and alpha > beta) or (g1 == 0 and not alpha):
+                continue
+            s1 = left[len(alpha)].get(alpha)
+            if s1 is None:
+                continue
+            s2 = right[len(beta)].get(beta)
+            if s2 is not None:
+                den = lcm(den, s1.den * s2.den)
+                products.append((s1, s2, ways if g1 == g2 and alpha == beta else 2 * ways))
+    return den, _sum(pack, den, terms, products)
 
 
 class Engine:
     """Memoizing recursion bound to one spectral curve.
 
-    Slices, W and the stored entries are IntSeries and Forms keyed by the
-    curve's HPacking; ``weight`` is the curve's eps_weight, which the
+    Slices, W and the stored entries are IntSeries, key maps and Forms, keyed
+    by the curve's HPacking; ``weight`` is the curve's eps_weight, which the
     Correlators' views restore eps by.  A table's slices are built together
     when a level first reads the table and are kept; a level's diagonals
     are dropped with the level.
@@ -352,50 +392,31 @@ class Engine:
                         else None if (gp, m) == (g, n) else self._table_slices(gp, m)
                         for m in range(1, n + 1)] for gp in range(g + 1)]
 
-    def _assemble_w(self, g: int, n: int, rest: tuple[int, ...], level) -> IntSeries:
-        """W_{g,n}(z, rest): the diagonal plus all ordered pair products of
-        slices, both read from ``level`` (what ``_level`` returns)."""
-        diags, slices = level
-        # ordered pair products, each computed once together with its mirror
-        # (g2, beta, g1, alpha), which has the same ways; w_{0,1} factors
-        # vanish and are skipped, and so is the (g2, beta) = (g, rest) factor
-        products = []
-        splits = multiset_splits(rest)
-        for g1 in range(g // 2 + 1):
-            g2 = g - g1
-            left, right = slices[g1], slices[g2]
-            for alpha, beta, ways in splits:
-                if (g1 == g2 and alpha > beta) or (g1 == 0 and not alpha):
-                    continue
-                s1 = left[len(alpha)].get(alpha)
-                if s1 is None:
-                    continue
-                s2 = right[len(beta)].get(beta)
-                if s2 is not None:
-                    products.append((s1, s2, ways if g1 == g2 and alpha == beta else 2 * ways))
-        # every diagonal and slice exponent is even
-        pack = self.curve.pack
-        return IntSeries.sum_of_products(_series(pack, diags.get(rest, [])), products, pack)
-
     def _read_off(self, g: int, n: int, rest: tuple[int, ...], hi: int, level) -> dict[int, Form]:
         """k1 -> entry at (k1,) + rest, for every k1 with -2*k1-2 <= hi: the
         poles of W_{g,n}(z, rest)/(2 eta(z)), multiplied out only up to z^hi,
         as reduced Forms in the (2k1+1)!! basis."""
-        w = self._assemble_w(g, n, rest, level)
-        if w.is_zero():
+        pack = self.curve.pack
+        den, w = _w(g, rest, level, pack)
+        if not w:
             return {}
-        prod = w.mul(self.curve.inv2eta(), hi)  # W is exact: the order is 1/(2 eta)'s
-        if prod.order <= hi:
-            raise InsufficientOrderError(f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})")
-        zs = self.curve.pack.zshift
+        inv, zs = self.curve.inv2eta(), pack.zshift
+        b = inv.coeffs.items()  # by increasing key, so each row stops at z^hi
+        # W is exact: the order is 1/(2 eta)'s, shifted by W's lowest exponent
+        order = product_order(None, min(w) >> zs, inv.order, next(iter(b))[0] >> zs)
+        if order <= hi:
+            raise InsufficientOrderError(f"product order {order} < required {hi + 1} at (g, n) = ({g}, {n})")
+        # every exponent of W and of 1/(2 eta) is even, so a pole is z^(-2k1-2)
         poles: dict[int, list[tuple[int, int]]] = {}
-        hmask, den = (1 << zs) - 1, prod.den
-        for key, c in prod.coeffs.items():
+        hmask, den = (1 << zs) - 1, den * inv.den
+        prod = product_below(w, b, (hi + 1) << zs, pack)
+        for key, c in sorted(prod.items()):  # each pole's pairs by h-key
             poles.setdefault(-(key >> zs) // 2 - 1, []).append((key & hmask, c))
         forms = {}
         for k1, pairs in poles.items():
-            d = gcd(den * odd_df(k1), *(c for _, c in pairs))
-            forms[k1] = (den * odd_df(k1) // d, tuple(sorted((h, c // d) for h, c in pairs)))
+            dk = den * odd_df(k1)
+            d = gcd(dk, *[c for _, c in pairs])
+            forms[k1] = (dk // d, tuple([(h, c // d) for h, c in pairs]))
         return forms
 
     def _compute(self, g: int, n: int) -> Correlator:
@@ -452,16 +473,17 @@ class Engine:
         coefficients of 2*eta*w_{g,n} - W_{g,n} vanish.
         """
         self.correlator(g, n)
-        two_eta = self.curve.two_eta()
+        two_eta, pack = self.curve.two_eta(), self.curve.pack
         dim = 3 * g - 3 + n
         level, own = self._level(g, n), self._table_slices(g, n)
         for rest in _sorted_tuples(n - 1, dim):
             sw = own.get(rest)
             lhs = two_eta.mul(sw) if sw is not None else None
             top = 0 if lhs is None or lhs.order is None else min(0, lhs.order)
-            top <<= self.curve.pack.zshift  # as a key
+            top <<= pack.zshift  # as a key
+            den, w = _w(g, rest, level, pack)
             poles = [{k: c for k, c in s.items() if k < top} if s is not None else {}
-                     for s in (lhs, self._assemble_w(g, n, rest, level))]
+                     for s in (lhs, IntSeries(w, den, pack))]
             if poles[0] != poles[1]:
                 return False
         return True

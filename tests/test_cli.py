@@ -279,19 +279,24 @@ def test_bad_arguments_are_usage_errors(capsys):
 
 
 def test_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
-    # a path under a regular file cannot be written: exit 2 naming it, not a
-    # traceback under exit 1, which means that a check failed
+    # a path under a regular file cannot be written: exit 2 naming it as not
+    # a directory, not a traceback under exit 1, which means that a check
+    # failed; verify prints its report before the cache save fails
     blocker = tmp_path / "F"
     blocker.write_text("")
     cache = tmp_path / "C.json"
     cache.write_text(json.dumps({"version": "kapparec-cache-v1", "entries": {}}))
-    for args in (
-        ["kappa-polys", "--out", str(blocker / "x.txt")],
-        ["verify", "--suite", "kdv", "--epsilon-budget", "1", "--cache", str(blocker / "c.json")],
-        ["cache", "--action", "export", "--cache", str(cache), "--out", str(blocker / "x.json")],
+    kdv = ["verify", "--suite", "kdv", "--epsilon-budget", "1"]
+    code, report, _ = run(capsys, kdv)
+    assert code == 0 and report.endswith("status: PASS\n")
+    for args, want in (
+        (["kappa-polys", "--out", str(blocker / "x.txt")], ""),
+        (kdv + ["--cache", str(blocker / "c.json")], report),
+        (["cache", "--action", "export", "--cache", str(cache), "--out", str(blocker / "x.json")], ""),
     ):
         code, out, err = run(capsys, args)
-        assert code == 2 and out == "" and str(blocker) in err, args
+        assert code == 2 and out == want and str(blocker) in err, args
+        assert "File exists" not in err, args
 
 
 def test_verify_nothing_checked(capsys):

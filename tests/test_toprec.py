@@ -3,7 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction as F
-from math import gcd
+from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import pytest
 
@@ -12,7 +13,7 @@ from kapparec.coeffs import h_star
 from kapparec.epsilonlab import check_regularity
 from kapparec.intseries import IntSeries
 from kapparec.parampoly import ParamPoly, hweight
-from kapparec.kappapoly import insert_sorted
+from kapparec.kappapoly import insert_sorted, multiset_splits
 from kapparec.toprec import (
     FAMILIES,
     Correlator,
@@ -329,6 +330,47 @@ def _reference_diagonal(eng, g, n, rest):
     ]
 
 
+def _reference_read_off(eng, g, n, rest, hi, level):
+    """The read-off by the route of IntSeries products: W as sum_of_products
+    over the diagonal's _series and every ordered pair of slices, without
+    the mirror shortcut; then IntSeries.mul by 1/(2 eta) bounded at hi, and
+    the poles grouped into reduced Forms through Fractions."""
+    diags, slices = level
+    pack = eng.curve.pack
+    products = []
+    for g1 in range(g + 1):
+        for alpha, beta, ways in multiset_splits(rest):
+            if (g1 == 0 and not alpha) or (g1 == g and not beta):
+                continue  # a w_{0,1} = 0 factor
+            s1, s2 = slices[g1][len(alpha)].get(alpha), slices[g - g1][len(beta)].get(beta)
+            if s1 is not None and s2 is not None:
+                products.append((s1, s2, ways))
+    w = IntSeries.sum_of_products(_series(pack, diags.get(rest, [])), products, pack)
+    if not w.coeffs:
+        return {}
+    prod = w.mul(eng.curve.inv2eta(), hi)
+    if prod.order <= hi:
+        raise InsufficientOrderError(f"product order {prod.order} < required {hi + 1} at (g, n) = ({g}, {n})")
+    zs = pack.zshift
+    values = {}
+    for key, c in prod.coeffs.items():
+        k1 = -(key >> zs) // 2 - 1
+        values.setdefault(k1, {})[key & (1 << zs) - 1] = F(c, prod.den * odd_df(k1))
+    forms = {}
+    for k1, by_h in values.items():
+        den = lcm(*(v.denominator for v in by_h.values()))
+        forms[k1] = (den, tuple(sorted((h, v.numerator * (den // v.denominator)) for h, v in by_h.items())))
+    return forms
+
+
+def _read_off_outcome(read_off, *args):
+    """The Forms a read-off returns, or the text of the InsufficientOrderError it raises."""
+    try:
+        return read_off(*args)
+    except InsufficientOrderError as e:
+        return str(e)
+
+
 def _same_series(a, b) -> bool:
     return (a is None) == (b is None) and (a is None or (a.coeffs, a.den) == (b.coeffs, b.den))
 
@@ -367,6 +409,47 @@ def test_no_diagonal_map_outlives_its_level():
         eng.correlator(g, n)
         assert set(vars(eng)) == {"curve", "weight", "table", "_slices"}
         assert all(isinstance(s, IntSeries) for t in eng._slices.values() for s in t.values())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_read_off_equals_the_integer_series_route(family):
+    # the read-off sums W as one key map and multiplies it by the sorted
+    # 1/(2 eta) itself; the route through sum_of_products and IntSeries.mul
+    # gives the same Forms for every rest of every level <= 7, both at the
+    # hot path's hi and for all poles (hi = -1)
+    eng = _engine(family, *_top(7))
+    for g, n in levels(7):
+        eng.correlator(g, n)
+        level = eng._level(g, n)
+        for rest in _sorted_tuples(n - 1, 3 * g - 3 + n):
+            for hi in (-2 * (rest[-1] if rest else 0) - 2, -1):
+                want = _reference_read_off(eng, g, n, rest, hi, level)
+                assert eng._read_off(g, n, rest, hi, level) == want, (g, n, rest, hi)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_read_off_refuses_a_short_curve_as_the_integer_series_route(family, monkeypatch):
+    # on the curve orders below the required one that _LOWER_ORDERS counts,
+    # every read-off the recursion makes, at its hi and at hi = -1, returns
+    # the reference's Forms or raises the reference's InsufficientOrderError
+    read_off, outcomes = Engine._read_off, []
+
+    def checked(self, g, n, rest, hi, level):
+        for h in (hi, -1):
+            got = _read_off_outcome(read_off, self, g, n, rest, h, level)
+            assert got == _read_off_outcome(_reference_read_off, self, g, n, rest, h, level), (g, n, rest, h)
+            outcomes.append(isinstance(got, str))
+        return read_off(self, g, n, rest, hi, level)
+
+    monkeypatch.setattr(Engine, "_read_off", checked)
+    for g, n in levels(6):
+        cap = 3 * g - 3 + n if family.startswith("weak") else None  # as cli._engine
+        for order in range(2, required_order(g, n)):
+            try:
+                Engine(build_curve(family, order, n_h=cap or 0, h_weight_cap=cap)).correlator(g, n)
+            except InsufficientOrderError:
+                pass
+    assert True in outcomes and False in outcomes
 
 
 # (accepted, refused) curve orders below the required one over levels(6);
@@ -632,6 +715,14 @@ def test_mixed_w02_rule_is_bergman_odd_part(kw_engine):
 def test_required_order_formula():
     assert required_order(1, 1) == 2 * (3 - 2 + 1) + 2
     assert required_order(2, 1) == 12
+
+
+def test_sorted_tuples_are_the_bounded_multisets_in_lexicographic_order():
+    # every rest the recursion walks, and in the order it walks them
+    for n in range(6):
+        for m in range(8):
+            want = tuple(t for t in combinations_with_replacement(range(m + 1), n) if sum(t) <= m)
+            assert _sorted_tuples(n, m) == want, (n, m)
 
 
 def test_entries_is_a_fresh_dict_on_each_read(k_engine):
