@@ -6,8 +6,8 @@ characterizations:
   exp(-sum_j ell_j t^j) = sum_k (-1)^k t^k prod_{m=0}^{k-1} (a + b m)      (reciprocal)
   exp(+sum_j ell_j t^j) = 1 + a t - b t^2 d/dt sum_j ell_j t^j            (ODE)
 
-Both are worked out on lists of Fraction coefficients, by the exp and log
-recurrences of exp_coeffs and log_coeffs.
+The first is read off an integer log, the second solved with the Fraction exp
+recurrence exp_coeffs; log_coeffs, its Fraction log, is the reference.
 
 Specializations: (1,1) -> sigma (factorials), (3,2) -> s (odd double
 factorials), (1,2) -> p (even-shifted double factorials, (-1)!! = 1).
@@ -19,8 +19,7 @@ with the conventions h_0 = 1, h_{-1} = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .parampoly import ParamPoly
@@ -49,26 +48,39 @@ def log_coeffs(c: Sequence[Fraction]) -> list[Fraction]:
     return ell
 
 
-def alternating_product_series(a: Fraction, b: Fraction, order: int) -> list[Fraction]:
-    """The coefficients of t^0..t^(order-1) in sum_k (-1)^k t^k prod_{m=0}^{k-1}(a+bm)."""
-    out = []
-    prod = Fraction(1)
-    for k in range(order):
-        out.append((-1) ** k * prod)
-        prod *= a + b * k
-    return out
+def alternating_product_series(a: Fraction, b: Fraction, order: int) -> list[Fraction | int]:
+    """The coefficients of t^0..t^(order-1) in sum_k (-1)^k t^k prod_{m=0}^{k-1}(a+bm),
+    integers for integer a and b."""
+    out = [1]
+    for k in range(1, order):
+        out.append(-out[-1] * (a + b * (k - 1)))
+    return out[:order]
 
 
-@lru_cache(maxsize=None)
+_INTEGER_LOGS: dict[tuple[Fraction, Fraction], tuple[int, list[int]]] = {}
+
+
+def integer_log(a: Fraction, b: Fraction, n: int) -> tuple[int, list[int]]:
+    """r and [L_1, ..., L_n] with ell^(a,b)_k = -L_k / (k r^k): for a = A/r and b = B/r
+    over their common denominator r, C_k = r^k c_k are the integers of
+    alternating_product_series(A, B), and L_k = k r^k l_k = k C_k - sum_{0<j<k} L_j C_{k-j}
+    those of its log l.  One list per (a, b), extended in place; callers get a copy."""
+    r, L = _INTEGER_LOGS.setdefault((a, b), (lcm(a.denominator, b.denominator), []))
+    if len(L) < n:
+        C = alternating_product_series(int(a * r), int(b * r), n + 1)
+        for k in range(len(L) + 1, n + 1):
+            L.append(k * C[k] - sum(L[j - 1] * C[k - j] for j in range(1, k)))
+    return r, L[:n]
+
+
 def ell_from_ab(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, ...]:
-    """ell_1..ell_n via the reciprocal characterization (series log)."""
+    """ell_1..ell_n via the reciprocal characterization, read off the integer log."""
     if n < 1:
         raise ValueError("need n >= 1")
-    logs = log_coeffs(alternating_product_series(Fraction(a), Fraction(b), n + 1))
-    return tuple(-v for v in logs[1:])
+    r, L = integer_log(Fraction(a), Fraction(b), n)
+    return tuple(Fraction(-v, k * r**k) for k, v in enumerate(L, 1))
 
 
-@lru_cache(maxsize=None)
 def ell_via_ode(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, ...]:
     """ell_1..ell_n by solving the defining ODE degree by degree.
 
@@ -80,11 +92,8 @@ def ell_via_ode(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, ...]:
     a, b = Fraction(a), Fraction(b)
     ell: list[Fraction] = []
     for k in range(1, n + 1):
-        e_partial = exp_coeffs([Fraction(0), *ell, Fraction(0)])
-        rhs_k = (a if k == 1 else Fraction(0)) - (
-            b * (k - 1) * ell[k - 2] if k >= 2 else Fraction(0)
-        )
-        ell.append(rhs_k - e_partial[k])
+        rhs_k = a if k == 1 else -b * (k - 1) * ell[-1]
+        ell.append(rhs_k - exp_coeffs([Fraction(0), *ell, Fraction(0)])[k])
     return tuple(ell)
 
 

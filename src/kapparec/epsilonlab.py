@@ -43,16 +43,8 @@ def check_regularity(engine: Engine, budget: int) -> list[RegularityReport]:
     for g, n in levels(budget):
         corr = engine.correlator(g, n)
         v = corr.min_eps_valuation()
-        out.append(
-            RegularityReport(
-                family=engine.curve.family,
-                g=g,
-                n=n,
-                entries=len(corr.forms),
-                min_eps_valuation=v,
-                passed=(v is None or v >= 0),
-            )
-        )
+        passed = v is None or v >= 0
+        out.append(RegularityReport(engine.curve.family, g, n, len(corr.forms), v, passed))
     return out
 
 

@@ -101,16 +101,14 @@ def brute_force(
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     seen = [False] * len(perm)
     cycles = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
+    for x in range(len(perm)):
         length = 0
-        x = s
         while not seen[x]:
             seen[x] = True
             x = perm[x]
             length += 1
-        cycles.append(length)
+        if length:
+            cycles.append(length)
     return tuple(sorted(cycles, reverse=True))
 
 
@@ -120,10 +118,8 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 def phi_coeffs(k: Fraction, deg: int) -> list[Fraction]:
     """Coefficients of Phi_k(psi) = sum_i prod_{j=1}^i (2(j+k)-1) psi^i."""
     out = [Fraction(1)]
-    run = Fraction(1)
     for i in range(1, deg + 1):
-        run *= 2 * (Fraction(k) + i) - 1
-        out.append(run)
+        out.append(out[-1] * (2 * (Fraction(k) + i) - 1))
     return out
 
 

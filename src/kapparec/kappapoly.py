@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Mapping, Sequence
 
-from .coeffs import alternating_product_series, ell_from_ab, exp_coeffs
+from .coeffs import alternating_product_series, exp_coeffs, integer_log
 from .parampoly import ParamPoly, add_terms, mul_terms
 from .rationals import rat_str
 
@@ -241,29 +241,36 @@ def _product_key(k1: Key, k2: Key) -> Key:
 def expand_family(ell: Sequence[Fraction], m_max: int) -> list[KappaPoly]:
     """Graded pieces L_0..L_{m_max} of exp(sum_i ell_i kappa_i): L_m is the sum over
     partitions lam of m of prod_i ell_i^{a_i} / a_i! kappa_lam, a_i the multiplicity
-    of i in lam.  It reads only ell_1..ell_m, so it is built once per prefix."""
+    of i in lam.  It reads only ell_1..ell_m."""
     if len(ell) < m_max:
         raise ValueError("need at least m_max sequence values")
-    ell = tuple(map(Fraction, ell[:m_max]))
-    return [_graded_piece(ell[:m]) for m in range(m_max + 1)]
+    ell = [Fraction(v) for v in ell[:m_max]]
+    nums, dens = [v.numerator for v in ell], [v.denominator for v in ell]
+    return [_graded_piece(nums, dens, m) for m in range(m_max + 1)]
 
 
-@lru_cache(maxsize=None)
-def _graded_piece(ell: tuple[Fraction, ...]) -> KappaPoly:
-    """L_m of exp(sum_i ell_i kappa_i) for m = len(ell)."""
-    return KappaPoly({
-        (lam, ()): prod(ell[v - 1] ** a / factorial(a) for v, a in multiplicities(lam).items())
-        for lam in partitions(len(ell))
-    })
+def _graded_piece(nums: Sequence[int], dens: Sequence[int], m: int) -> KappaPoly:
+    """L_m of exp(sum_i (nums_i / dens_i) kappa_i), each coefficient one Fraction
+    of the integer products prod_v nums_v^{a_v} and aut(lam) prod_v dens_v^{a_v}."""
+    terms = {}
+    for lam in partitions(m):
+        num = prod(nums[v - 1] for v in lam)
+        if num:
+            terms[(lam, ())] = Fraction(num, prod(dens[v - 1] for v in lam) * aut(lam))
+    return KappaPoly._raw(terms, 0)
 
 
 @lru_cache(maxsize=None)
 def family_polys(a: Fraction, b: Fraction, m_max: int) -> tuple[KappaPoly, ...]:
     """L^(a,b)_0..L^(a,b)_{m_max}; (3,2) gives the K family, (1,1) the J family.
-    ell_m does not depend on the length of the log it is read from, so every
-    m_max up to a power of two reads a prefix of the one log to that length."""
-    n = 1 << (max(m_max, 1) - 1).bit_length()
-    return tuple(expand_family(ell_from_ab(Fraction(a), Fraction(b), n), m_max))
+    Each degree adds one piece to the cached prefix below it, read off the one
+    integer log of (a, b): ell_k = -L_k / (k r^k)."""
+    if m_max < 0:
+        raise ValueError("need m_max >= 0")
+    r, L = integer_log(a, b, m_max)
+    nums, dens = [-v for v in L], [k * r**k for k in range(1, m_max + 1)]
+    head = family_polys(a, b, m_max - 1) if m_max else ()
+    return head + (_graded_piece(nums, dens, m_max),)
 
 
 def k_polys(m_max: int) -> tuple[KappaPoly, ...]:

@@ -106,12 +106,8 @@ class Potential:
         coeffs: dict[Entry, ParamPoly] = {}
         for g, n in levels(budget):
             for mono in _sorted_tuples(n, 3 * g - 3 + n):
-                if sum(mono) != 3 * g - 3 + n:
-                    continue
-                v = oracle.kw_number(g, mono)
-                if not v:
-                    continue
-                coeffs[(g, mono)] = ParamPoly.const(v / aut(mono))
+                if sum(mono) == 3 * g - 3 + n and (v := oracle.kw_number(g, mono)):
+                    coeffs[(g, mono)] = ParamPoly.const(v / aut(mono))
         return Potential(coeffs, budget)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from kapparec.cli import _suite_bgw, main
 
 
@@ -426,3 +428,66 @@ def test_cli_bytes_are_pinned(capsys, monkeypatch):
         blob = json.dumps(list(run(capsys, cmd.split())))
         got[cmd] = hashlib.sha256(blob.encode()).hexdigest()
     assert got == CLI_DIGESTS
+
+
+
+def kappa_m_plus_one(monkeypatch):
+    # K_m as the conjecture suite reads it, its kappa_m coefficient moved by 1
+    from kapparec import epsilonlab
+    from kapparec.kappapoly import KappaPoly, k_polys
+
+    def moved(m_max):
+        polys = k_polys(m_max)
+        return polys[:-1] + (polys[-1] + KappaPoly.kappa(m_max),) if m_max else polys
+
+    monkeypatch.setattr(epsilonlab, "k_polys", moved)
+
+
+def elsv_plus_one(monkeypatch):
+    # the ELSV route at one stable key, moved by 1
+    from kapparec import hurwitz
+
+    elsv_value = hurwitz.elsv_value
+
+    def moved(oracle, g, partition):
+        value = elsv_value(oracle, g, partition)
+        return value + 1 if (g, tuple(partition)) == (1, (2, 1)) else value
+
+    monkeypatch.setattr(hurwitz, "elsv_value", moved)
+
+
+def cache_entry_plus_one(monkeypatch):
+    # the cache file as the unmutated run wrote it, read back with one entry moved by 1
+    from kapparec.intersect import Cache
+
+    load = Cache.load
+
+    def moved(self, path):
+        load(self, path)
+        self.data[0, (0, 0, 0), ()] += 1
+
+    monkeypatch.setattr(Cache, "load", moved)
+
+
+# mutant -> (the command that catches it, its exit code, a line it prints);
+# the table records which suite holds which check
+MUTANTS = {
+    "k-coefficient": (kappa_m_plus_one, "verify --suite conjecture", 1, "status: FAIL"),
+    "elsv-key": (elsv_plus_one, "verify --suite hurwitz", 1, "status: FAIL"),
+    "cache-entry": (
+        cache_entry_plus_one, "verify --suite kdv --epsilon-budget 1 --cache c.json", 2,
+        "bad cache entry 0;0,0,0;: stored 2, recomputed 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_a_suite_catches_each_mutant(mutant, capsys, tmp_path, monkeypatch):
+    # each mutant is applied in process, after the same command passes without it
+    monkeypatch.delenv("KAPPAREC_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    mutate, cmd, want, line = MUTANTS[mutant]
+    assert run(capsys, cmd.split())[0] == 0
+    mutate(monkeypatch)
+    code, out, err = run(capsys, cmd.split())
+    assert code == want and line in (out + err).splitlines(), (mutant, out, err)

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from kapparec import coeffs
 from kapparec.coeffs import (
     alternating_product_series,
     ell_from_ab,
@@ -102,6 +103,21 @@ def test_h_s_roundtrip_random():
         assert list(s_from_h(h_from_s(s))) == s
         h = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
         assert list(h_from_s(s_from_h(h))) == h
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_integer_log_equals_the_fraction_series_log(order, monkeypatch):
+    # ascending n extends each (a, b)'s integer log by one term a call;
+    # descending n builds it to 24 at once and reads prefixes of it after.
+    # l_k of log_coeffs reads only c_0..c_k, so the log of the series to
+    # t^(n+1) is the first n + 1 values of the one to t^25
+    monkeypatch.setattr(coeffs, "_INTEGER_LOGS", {})
+    lengths = range(1, 25) if order == "ascending" else range(24, 0, -1)
+    for a in (0, 1, 3, -2, F(1, 2), F(5, 3)):
+        for b in (0, 1, 2, F(3, 4), F(-1, 6)):
+            want = tuple(-v for v in log_coeffs(alternating_product_series(F(a), F(b), 25))[1:])
+            for n in lengths:
+                assert ell_from_ab(a, b, n) == want[:n], (a, b, n)
 
 
 def test_bad_input():

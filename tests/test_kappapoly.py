@@ -7,8 +7,8 @@ from math import comb, factorial
 
 import pytest
 
-from kapparec import kappapoly
-from kapparec.coeffs import ell_from_ab
+from kapparec import coeffs, kappapoly
+from kapparec.coeffs import ell_from_ab, integer_log
 from kapparec.intersect import IntersectionOracle
 from kapparec.kappapoly import (
     KappaPoly,
@@ -90,11 +90,29 @@ FAMILY_DIGESTS = {
 }
 
 
+# the same to degree 16, as computed when the sequences came from the
+# Fraction series log and each coefficient from Fraction powers
+FAMILY_DIGESTS_16 = {
+    "k": "50d1938384f78cc519a995f391e4113affad12d8191790905b12092aaca4520e",
+    "j": "da985368217a7ce0278222319c3359da22a9d0807633e6d948aeac751ef3cafe",
+    "p": "614fb6ec0f08f2e49a0618d3673f5fe02d5c4a10d51b6c3c57dff237ae9b5217",
+}
+
+
+def family_digest(family, m_max):
+    polys = {"k": k_polys, "j": j_polys, "p": p_polys}[family](m_max)
+    blob = json.dumps([p.to_json() for p in polys], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS))
 def test_family_polys_match_pinned_digests(family):
-    polys = {"k": k_polys, "j": j_polys, "p": p_polys}[family](10)
-    blob = json.dumps([p.to_json() for p in polys], sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == FAMILY_DIGESTS[family]
+    assert family_digest(family, 10) == FAMILY_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS_16))
+def test_family_polys_match_pinned_digests_at_degree_16(family):
+    assert family_digest(family, 16) == FAMILY_DIGESTS_16[family]
 
 
 def test_homogeneity_and_kappa_m_coefficient():
@@ -115,28 +133,37 @@ def test_homogeneity_and_kappa_m_coefficient():
 @pytest.mark.parametrize("a, b", [(3, 2), (1, 1), (1, 2)])
 def test_family_sequences_are_prefixes_of_one_series_log(a, b, monkeypatch):
     # ell_1..ell_m read off a longer log are the ones a log of length m gives,
-    # so family_polys takes one log per power of two instead of one per m_max
+    # so family_polys keeps one integer log per (a, b) and extends it by one
+    # term per new degree instead of building a log per m_max
     longest = ell_from_ab(F(a), F(b), 16)
     assert all(ell_from_ab(F(a), F(b), m) == longest[:m] for m in range(1, 17))
-    lengths = []
+    builds = []
 
     def counted(a, b, n):
-        lengths.append(n)
-        return ell_from_ab(a, b, n)
+        before = len(coeffs._INTEGER_LOGS.get((a, b), (1, []))[1])
+        r, L = integer_log(a, b, n)
+        log = coeffs._INTEGER_LOGS[a, b][1]
+        builds.append((n, len(log) - before, id(log)))
+        return r, L
 
-    monkeypatch.setattr(kappapoly, "ell_from_ab", counted)
+    monkeypatch.setattr(kappapoly, "integer_log", counted)
+    monkeypatch.delitem(coeffs._INTEGER_LOGS, (F(a), F(b)))
     family_polys.cache_clear()
     try:
         for m in range(17):
             assert family_polys(F(a), F(b), m) == tuple(expand_family(longest, m))
     finally:
         family_polys.cache_clear()
-    assert sorted(set(lengths)) == [1, 2, 4, 8, 16]
+    assert [n for n, _, _ in builds] == list(range(17))
+    assert [added for _, added, _ in builds] == [0] + [1] * 16
+    assert len({log for _, _, log in builds}) == 1
 
 
 def test_expand_family_validates_length():
     with pytest.raises(ValueError):
         expand_family([F(1)], 3)
+    with pytest.raises(ValueError):
+        family_polys(F(3), F(2), -1)
 
 
 def graded_product(ell, m_max):
